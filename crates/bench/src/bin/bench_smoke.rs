@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use crispr_bench::workloads;
 use crispr_engines::{
-    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, NfaEngine, ScalarEngine,
-    SimdBackend,
+    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, NfaEngine,
+    ScalarEngine, ScanDeployment, SimdBackend,
 };
 use crispr_genome::Genome;
 use crispr_guides::Guide;
@@ -197,7 +197,8 @@ fn bench_index() -> IndexBench {
     let reopened = GenomeIndex::open(&idx_path).expect("open index");
     let open_s = open_start.elapsed().as_secs_f64();
     let mut index_m = SearchMetrics::default();
-    engine.search_metered_indexed(&reopened, None, &guides, K, &mut index_m).expect("index scan");
+    run_search(&engine, &guides, K, (&reopened).into(), &ScanDeployment::new(1), &mut index_m)
+        .expect("index scan");
     assert_eq!(
         fasta_m.counters.raw_hits, index_m.counters.raw_hits,
         "index and FASTA scans must agree before their timings mean anything"

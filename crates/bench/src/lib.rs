@@ -2,10 +2,10 @@
 //! experiment implementations behind the `experiments` binary.
 //!
 //! Every table and figure of the paper's evaluation maps to one function
-//! in [`experiments`] (see `DESIGN.md` §5 for the index); the `criterion`
-//! benches under `benches/` cover the measured-CPU rows with statistical
-//! rigor, while the binary regenerates the full tables, including the
-//! modeled accelerator rows.
+//! in [`experiments`] (see `DESIGN.md` §5 for the index); the binary
+//! regenerates the full tables, including the modeled accelerator rows,
+//! and `bench_smoke` gates the measured-CPU rows against a committed
+//! baseline.
 
 pub mod experiments;
 pub mod table;

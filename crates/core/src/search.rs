@@ -1,7 +1,7 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
-    BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
-    EngineError, NfaEngine, ParallelEngine, ScalarEngine, SearchError,
+    run_search, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine,
+    Engine, EngineError, NfaEngine, Reference, ScalarEngine, ScanDeployment, SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
@@ -11,76 +11,53 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where the reference sequence comes from: an in-memory [`Genome`]
-/// (FASTA/synthetic path) or an opened on-disk [`GenomeIndex`] whose
-/// packed payloads are scanned without re-deriving.
-#[derive(Debug, Clone)]
-enum GenomeSource {
-    Direct(Genome),
-    Index(Arc<GenomeIndex>),
-}
-
 /// Builder for a complete off-target search; see the crate docs for an
 /// end-to-end example.
 #[derive(Debug, Clone)]
 pub struct OffTargetSearch {
-    source: GenomeSource,
+    reference: Reference,
     guides: Vec<Guide>,
     k: usize,
     platform: Platform,
-    threads: usize,
-    chunk_retries: u32,
+    deployment: ScanDeployment,
     input_degradations: u64,
-    shard: Option<usize>,
     index_load_s: f64,
-    cancel: CancelToken,
 }
 
 impl OffTargetSearch {
     /// Starts a search over `genome` with defaults: no guides yet, k = 3,
     /// the bit-parallel CPU platform, single-threaded.
     pub fn new(genome: Genome) -> OffTargetSearch {
-        OffTargetSearch {
-            source: GenomeSource::Direct(genome),
-            guides: Vec::new(),
-            k: 3,
-            platform: Platform::CpuBitParallel,
-            threads: 1,
-            chunk_retries: crispr_engines::DEFAULT_CHUNK_RETRIES,
-            input_degradations: 0,
-            shard: None,
-            index_load_s: 0.0,
-            cancel: CancelToken::none(),
-        }
+        OffTargetSearch::with_reference(Reference::Genome(genome))
     }
 
-    /// Starts a search over an opened on-disk index. Single-threaded CPU
-    /// platforms scan the index's packed payloads directly (optionally in
-    /// bounded-memory shards, see [`OffTargetSearch::shard`]); threaded
-    /// runs and the modeled accelerators materialize the genome once,
-    /// charged to `genome_load_s`. Hit sets are identical to
-    /// [`OffTargetSearch::new`] on the genome the index was built from.
+    /// Starts a search over an opened on-disk index. CPU platforms scan
+    /// the index's packed payloads in place, at any thread count; the
+    /// modeled accelerators materialize the genome once, charged to
+    /// `genome_load_s`. Hit sets are identical to [`OffTargetSearch::new`]
+    /// on the genome the index was built from.
     pub fn from_index(index: Arc<GenomeIndex>) -> OffTargetSearch {
+        OffTargetSearch::with_reference(Reference::Index(index))
+    }
+
+    fn with_reference(reference: Reference) -> OffTargetSearch {
         OffTargetSearch {
-            source: GenomeSource::Index(index),
+            reference,
             guides: Vec::new(),
             k: 3,
             platform: Platform::CpuBitParallel,
-            threads: 1,
-            chunk_retries: crispr_engines::DEFAULT_CHUNK_RETRIES,
+            deployment: ScanDeployment::new(1),
             input_degradations: 0,
-            shard: None,
             index_load_s: 0.0,
-            cancel: CancelToken::none(),
         }
     }
 
-    /// Streams each contig of an indexed scan in shards of `len` window
-    /// starts, bounding resident memory by one shard instead of one
-    /// contig — hits and counters are unchanged. Ignored on the direct
-    /// (non-index) path and by threaded/modeled runs.
+    /// Scans each contig in chunks of `len` window starts (overlapping by
+    /// one site) instead of splitting it across the threads — hits and
+    /// counters are unchanged. On an index this bounds resident memory by
+    /// the chunks in flight. Ignored by the modeled platforms.
     pub fn shard(mut self, len: Option<usize>) -> OffTargetSearch {
-        self.shard = len;
+        self.deployment.chunk_len = len;
         self
     }
 
@@ -116,11 +93,11 @@ impl OffTargetSearch {
         self
     }
 
-    /// Sets the per-chunk retry budget for multi-threaded runs (how many
-    /// times a failed chunk is re-queued before it is reported in a
-    /// partial-result error). Ignored when `threads` is 1.
+    /// Sets the per-chunk retry budget of CPU runs (how many times a
+    /// failed chunk is re-queued before it is reported in a
+    /// partial-result error).
     pub fn chunk_retries(mut self, retries: u32) -> OffTargetSearch {
-        self.chunk_retries = retries;
+        self.deployment.retry_limit = retries;
         self
     }
 
@@ -141,19 +118,19 @@ impl OffTargetSearch {
     /// Panics if `threads` is zero.
     pub fn threads(mut self, threads: usize) -> OffTargetSearch {
         assert!(threads > 0, "need at least one thread");
-        self.threads = threads;
+        self.deployment.threads = threads;
         self
     }
 
     /// Arms a cooperative [`CancelToken`] for the run: CPU platforms poll
-    /// it at every chunk/contig/shard boundary, so a manual trip or an
+    /// it at every chunk boundary, so a manual trip or an
     /// expired deadline stops the scan within one chunk-scan and
     /// surfaces as [`SearchError::Cancelled`] /
     /// [`SearchError::DeadlineExceeded`] carrying the hits recovered
     /// from completed chunks. The modeled accelerators check only
     /// between phases (their kernels are closed-form models).
     pub fn cancel_token(mut self, cancel: CancelToken) -> OffTargetSearch {
-        self.cancel = cancel;
+        self.deployment.cancel = cancel;
         self
     }
 
@@ -166,9 +143,9 @@ impl OffTargetSearch {
 
     /// Executes the search.
     ///
-    /// A multi-threaded run in which some chunks failed every retry still
-    /// returns `Ok`: the report carries the recovered hits and full
-    /// metrics, with the failure provenance in
+    /// A run in which some chunks failed every retry still returns `Ok`:
+    /// the report carries the recovered hits and full metrics, with the
+    /// failure provenance in
     /// [`SearchReport::chunk_failures`] — check
     /// [`SearchReport::is_partial`] before treating the hit set as
     /// complete. (This is the partial-results contract the CLI's exit
@@ -183,7 +160,7 @@ impl OffTargetSearch {
         // past, client gone) fails fast before any compile or unpack
         // work — this is also the only cancellation point the modeled
         // accelerators get, since their kernels are closed-form models.
-        if let Err(kind) = self.cancel.check() {
+        if let Err(kind) = self.deployment.cancel.check() {
             return Err(SearchError::from_cancel(kind, Vec::new(), 0, 0));
         }
         // Modeled accelerators consume a byte-per-base genome; an indexed
@@ -191,15 +168,15 @@ impl OffTargetSearch {
         let modeled_genome =
             if self.platform.is_modeled() { Some(self.materialized()?) } else { None };
         let (hits, mut metrics, partial) = match self.platform {
-            Platform::CpuScalar => self.run_cpu(ScalarEngine::new())?,
-            Platform::CpuCasOffinder => self.run_cpu(CasOffinderCpuEngine::new())?,
-            Platform::CpuCasot => self.run_cpu(CasotEngine::new())?,
-            Platform::CpuBitParallel => self.run_cpu(BitParallelEngine::new())?,
-            Platform::CpuBitParallelBatched => self.run_cpu(BitParallelEngine::batched())?,
-            Platform::CpuCasOffinderBatched => self.run_cpu(CasOffinderCpuEngine::batched())?,
-            Platform::CpuCasotBatched => self.run_cpu(CasotEngine::batched())?,
-            Platform::CpuNfa => self.run_cpu(NfaEngine::new())?,
-            Platform::CpuDfa => self.run_cpu(DfaEngine::new())?,
+            Platform::CpuScalar => self.run_cpu(&ScalarEngine::new())?,
+            Platform::CpuCasOffinder => self.run_cpu(&CasOffinderCpuEngine::new())?,
+            Platform::CpuCasot => self.run_cpu(&CasotEngine::new())?,
+            Platform::CpuBitParallel => self.run_cpu(&BitParallelEngine::new())?,
+            Platform::CpuBitParallelBatched => self.run_cpu(&BitParallelEngine::batched())?,
+            Platform::CpuCasOffinderBatched => self.run_cpu(&CasOffinderCpuEngine::batched())?,
+            Platform::CpuCasotBatched => self.run_cpu(&CasotEngine::batched())?,
+            Platform::CpuNfa => self.run_cpu(&NfaEngine::new())?,
+            Platform::CpuDfa => self.run_cpu(&DfaEngine::new())?,
             Platform::Ap => {
                 let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
                 let report = crispr_ap::ApSearch::new().run(genome, &self.guides, self.k)?;
@@ -250,11 +227,11 @@ impl OffTargetSearch {
         if let Some((_, unpack_s)) = &modeled_genome {
             metrics.phases.genome_load_s += unpack_s;
         }
-        if let GenomeSource::Index(index) = &self.source {
+        if let Reference::Index(index) = &self.reference {
             metrics.set_gauge("index_cache", 1.0);
             metrics.set_gauge("index_mmap", if index.mapped() { 1.0 } else { 0.0 });
             metrics.set_gauge("index_load_s", self.index_load_s);
-            if let Some(shard) = self.shard {
+            if let Some(shard) = self.deployment.chunk_len {
                 metrics.set_gauge("index_shard_len", shard as f64);
             }
         }
@@ -262,7 +239,7 @@ impl OffTargetSearch {
             self.platform,
             hits,
             metrics,
-            self.total_len(),
+            self.reference.source().total_len(),
             self.guides.len(),
             self.k,
         );
@@ -272,80 +249,39 @@ impl OffTargetSearch {
         })
     }
 
-    /// Runs a CPU engine (parallel-wrapped when `threads > 1`) with full
-    /// metering: the engine attributes guide compilation to the config
-    /// bucket and the scan to the kernel bucket, so `kernel_s` no longer
-    /// absorbs compile time the way the old lumped measurement did.
-    ///
-    /// Both paths go through the engine's prepare/scan split
-    /// (`Engine::prepare` once, `PreparedSearch::scan_slice` per contig
-    /// or chunk — see DESIGN.md §7.1), so `guide_compile_s` is paid once
-    /// regardless of `threads`, and the parallel wrapper fans the same
-    /// prepared searcher out over borrowed chunks without copying.
+    /// Runs a CPU engine through the one scan driver with full metering:
+    /// guide compilation lands in the config bucket once, the scan in the
+    /// kernel bucket, whatever the thread count or genome source (see
+    /// DESIGN.md §7.1).
     ///
     /// A partial outcome (some chunks failed every retry) is *not* an
-    /// error at this level: the parallel deployment delivers the
-    /// recovered hits inside [`SearchError::Partial`] and fully populates
-    /// `metrics` before returning, so the partial branch unwraps both and
-    /// hands the failure provenance up for the report.
+    /// error at this level: the driver delivers the recovered hits inside
+    /// [`SearchError::Partial`] and fully populates `metrics` before
+    /// returning, so the partial branch unwraps both and hands the
+    /// failure provenance up for the report.
     #[allow(clippy::type_complexity)]
-    fn run_cpu<E: Engine + Sync>(
+    fn run_cpu(
         &self,
-        engine: E,
+        engine: &dyn Engine,
     ) -> Result<(Vec<Hit>, SearchMetrics, Option<PartialOutcome>), EngineError> {
         let mut metrics = SearchMetrics::default();
-        if self.threads > 1 {
-            // The parallel deployment fans borrowed byte-per-base chunks
-            // out to workers, so an indexed run materializes the genome
-            // first (the unpack is charged to genome_load_s).
-            let (genome, unpack_s) = self.materialized()?;
-            metrics.phases.genome_load_s += unpack_s;
-            let result = ParallelEngine::new(engine, self.threads)
-                .with_retry_limit(self.chunk_retries)
-                .search_cancellable(&genome, &self.guides, self.k, &self.cancel, &mut metrics);
-            match result {
-                Ok(hits) => Ok((hits, metrics, None)),
-                Err(SearchError::Partial { failures, chunks_total, hits }) => {
-                    Ok((hits, metrics, Some((failures, chunks_total))))
-                }
-                Err(e) => Err(e),
+        let source = self.reference.source();
+        match run_search(engine, &self.guides, self.k, source, &self.deployment, &mut metrics) {
+            Ok(hits) => Ok((hits, metrics, None)),
+            Err(SearchError::Partial { failures, chunks_total, hits }) => {
+                Ok((hits, metrics, Some((failures, chunks_total))))
             }
-        } else {
-            let hits = match &self.source {
-                GenomeSource::Direct(genome) => engine.search_cancellable(
-                    genome,
-                    &self.guides,
-                    self.k,
-                    &self.cancel,
-                    &mut metrics,
-                )?,
-                GenomeSource::Index(index) => engine.search_indexed_cancellable(
-                    index,
-                    self.shard,
-                    &self.guides,
-                    self.k,
-                    &self.cancel,
-                    &mut metrics,
-                )?,
-            };
-            Ok((hits, metrics, None))
+            Err(e) => Err(e),
         }
     }
 
-    /// Total reference length without materializing anything.
-    fn total_len(&self) -> usize {
-        match &self.source {
-            GenomeSource::Direct(genome) => genome.total_len(),
-            GenomeSource::Index(index) => index.total_len(),
-        }
-    }
-
-    /// A byte-per-base view of the source: borrowed for the direct path,
-    /// unpacked from the index otherwise (with the seconds that took).
+    /// A byte-per-base view of the reference for the modeled platforms:
+    /// borrowed for the direct path, unpacked from the index otherwise
+    /// (with the seconds that took).
     fn materialized(&self) -> Result<(Cow<'_, Genome>, f64), EngineError> {
-        match &self.source {
-            GenomeSource::Direct(genome) => Ok((Cow::Borrowed(genome), 0.0)),
-            GenomeSource::Index(index) => {
+        match &self.reference {
+            Reference::Genome(genome) => Ok((Cow::Borrowed(genome), 0.0)),
+            Reference::Index(index) => {
                 let start = Instant::now();
                 let genome = index.to_genome()?;
                 Ok((Cow::Owned(genome), start.elapsed().as_secs_f64()))
@@ -355,7 +291,7 @@ impl OffTargetSearch {
 }
 
 /// Chunk-failure provenance of a partial run: the failed chunks plus the
-/// total the deployment enqueued.
+/// total the driver enqueued.
 type PartialOutcome = (Vec<crispr_engines::ChunkFailure>, u64);
 
 #[cfg(test)]
@@ -474,44 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_runs_return_recovered_hits_and_provenance() {
-        let (genome, guides, _) = workload();
-        let clean = OffTargetSearch::new(genome.clone())
-            .guides(guides.clone())
-            .max_mismatches(2)
-            .threads(4)
-            .run()
-            .unwrap();
-        assert!(!clean.is_partial() && clean.chunk_failures().is_empty());
-
-        // One guaranteed fire, no retries: exactly one chunk is lost, and
-        // the run must still return Ok — report, hits, metrics intact.
-        let _scenario = crispr_failpoint::FailScenario::setup("parallel.chunk=error:1.0,21,1");
-        let report = OffTargetSearch::new(genome)
-            .guides(guides)
-            .max_mismatches(2)
-            .threads(4)
-            .chunk_retries(0)
-            .run()
-            .unwrap();
-        assert!(report.is_partial());
-        assert_eq!(report.chunk_failures().len(), 1);
-        assert!(report.chunks_total() > 1);
-        assert!(!report.chunk_failures()[0].contig_name.is_empty());
-        assert!(report.hits().iter().all(|h| clean.hits().binary_search(h).is_ok()));
-        let m = report.metrics();
-        assert_eq!(m.counters.chunks_failed, 1);
-        assert!(m.phases.kernel_scan_s > 0.0, "metrics survive the partial outcome");
-        assert!(m.parallel.is_some());
-    }
-
-    #[test]
     fn threaded_run_reports_parallel_metrics() {
         let (genome, guides, _) = workload();
         let report =
             OffTargetSearch::new(genome).guides(guides).max_mismatches(2).threads(4).run().unwrap();
         let m = report.metrics();
-        assert_eq!(m.engine, "parallel");
+        assert_eq!(m.engine, "bitparallel-hyperscan");
         let p = m.parallel.as_ref().expect("parallel stats");
         assert_eq!(p.threads.len(), 4);
         assert!(p.chunks_total >= 1);

@@ -4,10 +4,9 @@
 //! bound a search in wall-clock: the serve layer arms it with a
 //! per-request deadline, the CLI arms it from `--timeout`, and callers
 //! can trip it manually (client disconnect, shutdown). The token is
-//! *cooperative*: drivers poll [`CancelToken::check`] at chunk
-//! boundaries — before each `scan_slice`/`scan_packed` attempt in the
-//! parallel deployment and between contigs/shards in the serial
-//! drivers — so a trip is observed within one chunk-scan, never
+//! *cooperative*: the scan driver polls [`CancelToken::check`] at chunk
+//! boundaries — before each `scan_slice`/`scan_packed` attempt, at any
+//! thread count — so a trip is observed within one chunk-scan, never
 //! mid-kernel. That granularity is deliberate (see DESIGN.md §14): the
 //! kernels stay branch-free, completed chunks keep their exact
 //! counters (the PR 4 healed-run identity extends to cancelled runs),

@@ -1,8 +1,8 @@
-use crate::{CancelToken, EngineError, SearchError};
-use crispr_genome::diskindex::GenomeIndex;
+use crate::scan::{run_search, ScanDeployment};
+use crate::EngineError;
 use crispr_genome::pamindex::{AnchorScanner, BaseMasks};
 use crispr_genome::{Base, Genome, IupacCode, PackedSeq, Strand};
-use crispr_guides::{normalize, Guide, Hit, SitePattern};
+use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use crispr_trace as trace;
 use std::time::Instant;
@@ -12,11 +12,11 @@ use std::time::Instant;
 /// without recompiling.
 ///
 /// [`PreparedSearch::scan_slice`] appends *raw* hits: `contig` is left 0
-/// and `pos` is slice-relative; the caller re-bases and normalizes
-/// ([`scan_genome`] does both, the parallel deployment shifts by chunk
-/// offset first). Implementations attribute their own per-slice phases —
-/// packing/indexing to `genome_load_s`, scanning to `kernel_scan_s` — and
-/// counters; they never touch `guide_compile_s`, which belongs to
+/// and `pos` is slice-relative; the caller ([`crate::run_scan`]) shifts
+/// them by chunk offset, re-bases contig indices, and normalizes.
+/// Implementations attribute their own per-slice phases — packing/indexing
+/// to `genome_load_s`, scanning to `kernel_scan_s` — and counters; they
+/// never touch `guide_compile_s`, which belongs to
 /// [`Engine::prepare`] alone. That invariant is what makes compile cost
 /// independent of how many slices (chunks, genomes) are scanned.
 pub trait PreparedSearch: Send + Sync {
@@ -80,8 +80,10 @@ pub trait PreparedSearch: Send + Sync {
 /// [`crispr_guides::normalize`]).
 ///
 /// The trait is split into a compile phase ([`Engine::prepare`]) and a
-/// scan phase ([`PreparedSearch::scan_slice`]); `search`/`search_metered`
-/// are drivers over that split and rarely need overriding.
+/// scan phase ([`PreparedSearch::scan_slice`]); every deployment — thread
+/// count, index source, retries, cancellation — goes through
+/// [`crate::run_search`]. `search`/`search_metered` are its single-thread
+/// shorthand over an in-memory genome.
 pub trait Engine {
     /// A short stable name for reports and benchmarks.
     fn name(&self) -> &'static str;
@@ -107,11 +109,8 @@ pub trait Engine {
         self.search_metered(genome, guides, k, &mut SearchMetrics::default())
     }
 
-    /// Runs the search while filling `metrics` — the observability hook.
-    ///
-    /// The hit set is identical to [`Engine::search`]. The default driver
-    /// charges [`Engine::prepare`] to `guide_compile_s` exactly once and
-    /// delegates per-slice attribution to the prepared search.
+    /// Runs the search while filling `metrics` — [`crate::run_search`] on
+    /// one thread.
     ///
     /// # Errors
     ///
@@ -123,284 +122,8 @@ pub trait Engine {
         k: usize,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        self.search_cancellable(genome, guides, k, &CancelToken::none(), metrics)
+        run_search(self, guides, k, genome.into(), &ScanDeployment::new(1), metrics)
     }
-
-    /// [`Engine::search_metered`] with a cooperative [`CancelToken`]: the
-    /// token is polled at every contig boundary, so a manual trip or an
-    /// expired deadline stops the scan within one contig-scan and
-    /// surfaces as [`SearchError::Cancelled`] /
-    /// [`SearchError::DeadlineExceeded`] carrying the hits recovered from
-    /// the contigs already scanned.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_metered`], plus the cancellation
-    /// variants.
-    fn search_cancellable(
-        &self,
-        genome: &Genome,
-        guides: &[Guide],
-        k: usize,
-        cancel: &CancelToken,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        // Fault fires are metered as a delta over the whole search so
-        // prepare-time degradations count too. (The parallel deployment
-        // overrides this method and meters its own delta.)
-        let faults_before = crispr_failpoint::fired_total();
-        metrics.engine = self.name().to_string();
-        let compile_start = Instant::now();
-        let prepared = {
-            let _span = trace::span("phase:guide_compile");
-            self.prepare(guides, k)?
-        };
-        metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
-        prepared.record_gauges(metrics);
-        let result = scan_genome_cancellable(prepared.as_ref(), genome, cancel, metrics);
-        metrics.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
-        result
-    }
-
-    /// Runs the search against an opened on-disk index instead of a
-    /// byte-per-base genome — [`Engine::search_metered`] with
-    /// [`scan_genome_indexed`] as the scan driver. `shard_len` streams
-    /// each contig in shards of that many window starts to bound
-    /// resident memory; hits and counters are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_metered`].
-    fn search_metered_indexed(
-        &self,
-        index: &GenomeIndex,
-        shard_len: Option<usize>,
-        guides: &[Guide],
-        k: usize,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        self.search_indexed_cancellable(index, shard_len, guides, k, &CancelToken::none(), metrics)
-    }
-
-    /// [`Engine::search_metered_indexed`] with a cooperative
-    /// [`CancelToken`], polled at every shard boundary — the indexed
-    /// counterpart of [`Engine::search_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_metered_indexed`], plus the cancellation
-    /// variants.
-    fn search_indexed_cancellable(
-        &self,
-        index: &GenomeIndex,
-        shard_len: Option<usize>,
-        guides: &[Guide],
-        k: usize,
-        cancel: &CancelToken,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        let faults_before = crispr_failpoint::fired_total();
-        metrics.engine = self.name().to_string();
-        let compile_start = Instant::now();
-        let prepared = {
-            let _span = trace::span("phase:guide_compile");
-            self.prepare(guides, k)?
-        };
-        metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
-        prepared.record_gauges(metrics);
-        let result =
-            scan_genome_indexed_cancellable(prepared.as_ref(), index, shard_len, cancel, metrics);
-        metrics.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
-        result
-    }
-}
-
-/// Drives a prepared search over every contig of `genome`: scan each
-/// contig slice, re-base contig indices, count raw hits, normalize
-/// (attributed to `report_s`).
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_slice`] failures.
-pub fn scan_genome(
-    prepared: &dyn PreparedSearch,
-    genome: &Genome,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    scan_genome_cancellable(prepared, genome, &CancelToken::none(), m)
-}
-
-/// Finalizes a run stopped by a tripped token: the completed chunks keep
-/// their exact counters (same merge discipline as a clean run — the PR 4
-/// identity), the recovered hits are normalized, and the result is the
-/// typed cancellation error.
-fn finish_cancelled(
-    kind: crate::CancelKind,
-    mut hits: Vec<Hit>,
-    chunks_scanned: u64,
-    chunks_total: u64,
-    m: &mut SearchMetrics,
-) -> EngineError {
-    m.counters.raw_hits += hits.len() as u64;
-    m.finalize_derived_gauges();
-    let report_start = Instant::now();
-    normalize(&mut hits);
-    m.phases.report_s += report_start.elapsed().as_secs_f64();
-    SearchError::from_cancel(kind, hits, chunks_scanned, chunks_total)
-}
-
-/// [`scan_genome`] with a cooperative [`CancelToken`], polled once per
-/// contig (one relaxed load; see `cancel.rs` for why checks sit at chunk
-/// boundaries). On a trip, the hits recovered from fully-scanned contigs
-/// are normalized and returned inside the typed cancellation error.
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_slice`] failures, plus
-/// [`SearchError::Cancelled`] / [`SearchError::DeadlineExceeded`].
-pub fn scan_genome_cancellable(
-    prepared: &dyn PreparedSearch,
-    genome: &Genome,
-    cancel: &CancelToken,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    let chunks_total = genome.contigs().len() as u64;
-    let mut hits = Vec::new();
-    for (ci, contig) in genome.contigs().iter().enumerate() {
-        if let Err(kind) = cancel.check() {
-            return Err(finish_cancelled(kind, hits, ci as u64, chunks_total, m));
-        }
-        let before = hits.len();
-        let contig_start = Instant::now();
-        {
-            let _span = trace::span_args("contig", ci as u64, contig.len() as u64);
-            prepared.scan_slice(contig.seq().as_slice(), &mut hits, m)?;
-        }
-        // The serial driver scans one contig where the parallel one
-        // scans one chunk; both feed the same latency histogram so
-        // chunked and unchunked runs stay comparable.
-        m.observe("chunk_scan_s", contig_start.elapsed().as_secs_f64());
-        trace::progress::add(contig.len() as u64);
-        for hit in &mut hits[before..] {
-            hit.contig = ci as u32;
-        }
-    }
-    m.counters.raw_hits += hits.len() as u64;
-    m.finalize_derived_gauges();
-    let report_start = Instant::now();
-    {
-        let _span = trace::span("phase:report");
-        normalize(&mut hits);
-    }
-    m.phases.report_s += report_start.elapsed().as_secs_f64();
-    Ok(hits)
-}
-
-/// Drives a prepared search over an opened on-disk index — the
-/// counterpart of [`scan_genome`] that never touches FASTA or
-/// byte-per-base contigs. Each contig is read from the index in packed
-/// form (with its anchor bitmaps) and fed to
-/// [`PreparedSearch::scan_packed`].
-///
-/// With `shard_len = Some(n)`, each contig is streamed in shards of `n`
-/// window starts using the parallel deployment's partition geometry
-/// (shard slice `[start, start + n + site_len - 1)`, next start
-/// `start + n`): window starts partition exactly across shards, so hits
-/// and counters are identical to the unsharded pass while resident
-/// memory is bounded by one shard — the laptop path for a 3.2-Gbp
-/// reference. Contigs shorter than one site contribute nothing either
-/// way.
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_packed`] failures.
-pub fn scan_genome_indexed(
-    prepared: &dyn PreparedSearch,
-    index: &GenomeIndex,
-    shard_len: Option<usize>,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    scan_genome_indexed_cancellable(prepared, index, shard_len, &CancelToken::none(), m)
-}
-
-/// [`scan_genome_indexed`] with a cooperative [`CancelToken`], polled
-/// once per shard — the indexed counterpart of
-/// [`scan_genome_cancellable`].
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_packed`] failures, plus
-/// [`SearchError::Cancelled`] / [`SearchError::DeadlineExceeded`].
-pub fn scan_genome_indexed_cancellable(
-    prepared: &dyn PreparedSearch,
-    index: &GenomeIndex,
-    shard_len: Option<usize>,
-    cancel: &CancelToken,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    let site_len = prepared.site_len();
-    // Total shard count across contigs, so a cancelled run can report
-    // progress. Mirrors the loop below: every contig contributes at
-    // least one shard, plus one per further `shard` step that still
-    // leaves room for a full site.
-    let chunks_total: u64 = (0..index.contig_count())
-        .map(|ci| {
-            let contig_len = index.contig_len(ci);
-            let shard = shard_len.unwrap_or(contig_len).max(1);
-            if contig_len >= site_len {
-                1 + ((contig_len - site_len) / shard) as u64
-            } else {
-                1
-            }
-        })
-        .sum();
-    let mut chunks_scanned = 0u64;
-    let mut hits = Vec::new();
-    for ci in 0..index.contig_count() {
-        let contig_len = index.contig_len(ci);
-        let shard = shard_len.unwrap_or(contig_len).max(1);
-        // Every contig is scanned at least once — contigs shorter than a
-        // site yield no windows, but the engines still meter them (e.g.
-        // the register scan charges bit_steps per symbol delivered), and
-        // the serial FASTA driver feeds them through identically.
-        let mut start = 0usize;
-        loop {
-            if let Err(kind) = cancel.check() {
-                return Err(finish_cancelled(kind, hits, chunks_scanned, chunks_total, m));
-            }
-            let end = (start + shard + site_len - 1).min(contig_len);
-            let shard_start = Instant::now();
-            let before = hits.len();
-            {
-                let _span = trace::span_args("shard", ci as u64, (end - start) as u64);
-                let load_start = Instant::now();
-                let packed = index.contig_packed_range(ci, start, end - start);
-                let masks = index.contig_masks_range(ci, start, end - start);
-                m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-                prepared.scan_packed(&packed, &masks, &mut hits, m)?;
-            }
-            m.observe("chunk_scan_s", shard_start.elapsed().as_secs_f64());
-            trace::progress::add((end - start) as u64);
-            for hit in &mut hits[before..] {
-                hit.contig = ci as u32;
-                hit.pos += start as u64;
-            }
-            chunks_scanned += 1;
-            start += shard;
-            if start + site_len > contig_len {
-                break;
-            }
-        }
-    }
-    m.counters.raw_hits += hits.len() as u64;
-    m.finalize_derived_gauges();
-    let report_start = Instant::now();
-    {
-        let _span = trace::span("phase:report");
-        normalize(&mut hits);
-    }
-    m.phases.report_s += report_start.elapsed().as_secs_f64();
-    Ok(hits)
 }
 
 /// Validates a guide set the way the compilers do, returning the uniform
@@ -682,8 +405,9 @@ mod tests {
         let a = tiny_genome("TTTTGATTACAGATTACAGATTACTGGAAAA");
         let b = tiny_genome("GATTACAGATTACAGATTACAGGCCCC");
         let mut m = SearchMetrics::default();
-        let hits_a = scan_genome(prepared.as_ref(), &a, &mut m).unwrap();
-        let hits_b = scan_genome(prepared.as_ref(), &b, &mut m).unwrap();
+        let one = ScanDeployment::new(1);
+        let hits_a = crate::run_scan(prepared.as_ref(), (&a).into(), &one, &mut m).unwrap();
+        let hits_b = crate::run_scan(prepared.as_ref(), (&b).into(), &one, &mut m).unwrap();
         assert_eq!(
             hits_a,
             ScalarEngine::new().search(&a, std::slice::from_ref(&guide), 0).unwrap()

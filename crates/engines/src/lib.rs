@@ -10,7 +10,6 @@
 //! | [`BitParallelEngine`] | HyperScan (single thread) | multi-pattern bit-parallel Hamming shift-and, k+1 registers |
 //! | [`NfaEngine`] | direct automata execution (what iNFAnt2 runs) | frontier simulation of the compiled mismatch automata |
 //! | [`DfaEngine`] | HyperScan's DFA mode | subset-constructed DFA scan (fails loudly past its state budget) |
-//! | [`ParallelEngine`] | multi-threaded deployment | genome chunking with overlap around any inner engine |
 //! | [`PigeonholeEngine`] | index-based filtration tools | exact-seed q-gram filtration + verification |
 //! | [`IndelEngine`] / [`MyersMatcher`] | CasOT's indel mode | Myers bit-vector edit distance with PAM re-check |
 //!
@@ -19,10 +18,15 @@
 //!
 //! Searches are split into a compile phase and a scan phase:
 //! [`Engine::prepare`] lowers guides × budget once into a reusable
-//! [`PreparedSearch`], whose [`PreparedSearch::scan_slice`] runs against
-//! any number of borrowed genome slices — the contract that lets
-//! [`ParallelEngine`] fan chunks out without recompiling or copying, and
-//! lets callers amortize compilation across genomes. Engines whose guide
+//! [`PreparedSearch`], whose [`PreparedSearch::scan_slice`] (or, for an
+//! on-disk index, [`PreparedSearch::scan_packed`]) runs against any
+//! number of genome chunks. One driver deploys that split:
+//! [`run_scan`] walks a [`GenomeSource`] — borrowed contigs or an index
+//! scanned in place — in overlapping chunks on the threads, retry budget
+//! and cancel token of a [`ScanDeployment`], with per-chunk panic
+//! isolation at any thread count; [`run_search`] adds the one-time
+//! compile in front. Callers holding a cached compile call [`run_scan`]
+//! directly. Engines whose guide
 //! sets carry a selective PAM additionally front their scans with the
 //! shared PAM-anchor prefilter (see [`crispr_genome::pamindex`]); the
 //! `without_prefilter` constructors expose the unfiltered baselines.
@@ -53,18 +57,15 @@ mod myers;
 mod naive;
 mod nfa;
 mod offdfa;
-mod parallel;
 mod pigeonhole;
 mod prefilter;
+mod scan;
 pub mod simd;
 
 pub use bitparallel::BitParallelEngine;
 pub use cancel::{CancelKind, CancelToken};
 pub use casot::CasotEngine;
-pub use engine::{
-    scan_genome, scan_genome_cancellable, scan_genome_indexed, scan_genome_indexed_cancellable,
-    Engine, PreparedSearch, ScalarEngine,
-};
+pub use engine::{Engine, PreparedSearch, ScalarEngine};
 pub use error::{ChunkFailure, SearchError};
 
 /// Historic alias for [`SearchError`], kept for source compatibility:
@@ -75,6 +76,8 @@ pub use myers::{IndelEngine, MyersMatcher};
 pub use naive::CasOffinderCpuEngine;
 pub use nfa::{reports_to_hits, NfaEngine};
 pub use offdfa::DfaEngine;
-pub use parallel::{scan_prepared, ParallelEngine, ScanDeployment, DEFAULT_CHUNK_RETRIES};
 pub use pigeonhole::PigeonholeEngine;
+pub use scan::{
+    run_scan, run_search, GenomeSource, Reference, ScanDeployment, DEFAULT_CHUNK_RETRIES,
+};
 pub use simd::SimdBackend;

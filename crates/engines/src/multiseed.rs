@@ -693,7 +693,8 @@ mod tests {
         let scan = MultiSeedScan::from_guides(&guide_set, 3).unwrap().unwrap();
         let prepared = MultiSeedPrepared::new(scan);
         let mut m = SearchMetrics::default();
-        let hits = crate::engine::scan_genome(&prepared, &genome, &mut m).unwrap();
+        let one = crate::ScanDeployment::new(1);
+        let hits = crate::run_scan(&prepared, (&genome).into(), &one, &mut m).unwrap();
         assert_eq!(hits, truth);
         assert!(m.counters.multiseed_candidates >= m.counters.multiseed_positions);
         assert!(m.counters.multiseed_positions > 0);
@@ -764,8 +765,10 @@ mod tests {
         );
         let truth = ScalarEngine::new().search(&genome, &g, 0).unwrap();
         let prepared = MultiSeedPrepared::new(scan);
+        let one = crate::ScanDeployment::new(1);
         let hits =
-            crate::engine::scan_genome(&prepared, &genome, &mut SearchMetrics::default()).unwrap();
+            crate::run_scan(&prepared, (&genome).into(), &one, &mut SearchMetrics::default())
+                .unwrap();
         assert_eq!(hits, truth);
         assert_eq!(hits.len(), 1);
     }

@@ -138,9 +138,11 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// splitmix64 step — the same tiny deterministic generator the synthetic
-/// genome generator uses; good enough for fire/no-fire coin flips.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One splitmix64 step: advances `state` and returns the next output.
+/// A tiny deterministic, dependency-free generator — good enough for
+/// fire/no-fire coin flips here and for request-id suffixes in the
+/// serve layer.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -133,6 +133,7 @@ mod mmap_sys {
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
+    pub const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         pub fn mmap(
@@ -144,6 +145,7 @@ mod mmap_sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     pub fn map_failed() -> *mut c_void {
@@ -200,6 +202,19 @@ impl MappedFile {
         // SAFETY: ptr/len describe a live PROT_READ mapping owned by
         // self; the slice's lifetime is tied to &self.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
+    }
+
+    /// Drops the mapping's resident pages. Validation reads every byte of
+    /// the file once; afterwards only the ranges a scan reads should stay
+    /// resident. Pages fault back in from the file on the next access,
+    /// so the mapped bytes are unchanged (advisory: a failure is ignored).
+    fn release(&self) {
+        // SAFETY: advising the exact region this struct mapped; the
+        // mapping is private and read-only, so dropped pages re-read the
+        // same file contents.
+        unsafe {
+            mmap_sys::madvise(self.ptr, self.len, mmap_sys::MADV_DONTNEED);
+        }
     }
 }
 
@@ -530,6 +545,10 @@ impl GenomeIndex {
 
     fn from_source(source: Source, mapped: bool) -> Result<GenomeIndex, GenomeError> {
         let (q, contigs, total_len) = validate(source.bytes())?;
+        #[cfg(unix)]
+        if let Source::Mapped(mapped) = &source {
+            mapped.release();
+        }
         Ok(GenomeIndex { source, mapped, q, contigs, total_len })
     }
 }

@@ -150,7 +150,7 @@ pub struct ThreadStats {
     pub raw_hits: u64,
 }
 
-/// Chunking and utilization statistics from `ParallelEngine`.
+/// Chunking and utilization statistics from a multi-threaded scan.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParallelMetrics {
     /// One entry per worker thread.
@@ -248,15 +248,29 @@ impl Histogram {
         }
     }
 
-    /// Records one observation of `seconds`.
-    pub fn observe_s(&mut self, seconds: f64) {
-        let seconds = if seconds.is_finite() && seconds > 0.0 { seconds } else { 0.0 };
+    /// The bucket an observation of `seconds` lands in (non-finite and
+    /// negative values count as zero).
+    pub fn bucket_index(seconds: f64) -> usize {
+        let seconds = Histogram::clamp_s(seconds);
         let mut i = 0;
         while i < HISTOGRAM_BUCKETS - 1 && seconds > Histogram::bucket_bound_s(i) {
             i += 1;
         }
-        self.buckets[i] += 1;
-        self.sum_s += seconds;
+        i
+    }
+
+    /// Records one observation of `seconds`.
+    pub fn observe_s(&mut self, seconds: f64) {
+        self.buckets[Histogram::bucket_index(seconds)] += 1;
+        self.sum_s += Histogram::clamp_s(seconds);
+    }
+
+    fn clamp_s(seconds: f64) -> f64 {
+        if seconds.is_finite() && seconds > 0.0 {
+            seconds
+        } else {
+            0.0
+        }
     }
 
     /// Total observations across all buckets.
@@ -282,7 +296,8 @@ pub struct SearchMetrics {
     pub phases: PhaseSpans,
     /// Work counters (measured engines only; zero for pure models).
     pub counters: EngineCounters,
-    /// Parallel-deployment statistics, when a `ParallelEngine` ran.
+    /// Parallel-deployment statistics, when a scan fanned out over more
+    /// than one thread.
     pub parallel: Option<ParallelMetrics>,
     /// Named model- or engine-specific values (streams, passes, DFA
     /// states, mean active states, …).

@@ -13,7 +13,8 @@
 //! - an LRU cache of compiled [`crispr_engines::PreparedSearch`] values
 //!   keyed by (guide-set hash, mismatch budget, engine), so repeated
 //!   queries skip the compile phase entirely and go straight to
-//!   [`crispr_engines::scan_prepared`].
+//!   [`crispr_engines::run_scan`] — over the in-memory genome, or over
+//!   an on-disk index scanned in place.
 //!
 //! The partial-results contract carries through to the wire: a scan in
 //! which some chunks exhausted their retries answers `206 Partial

@@ -36,6 +36,7 @@
 //! percentiles interpolate linearly inside the winning bucket.
 
 use crate::cache::fnv1a;
+use crispr_failpoint::splitmix64;
 use crispr_model::json::escape;
 use crispr_model::{Histogram, HISTOGRAM_BUCKETS};
 use std::collections::VecDeque;
@@ -68,15 +69,6 @@ fn stage_name(stage: u8) -> &'static str {
         STAGE_SCANNING => "scanning",
         _ => "responding",
     }
-}
-
-/// One splitmix64 round: the id generator's cheap, dependency-free
-/// mixer (and the salt whitener).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Validates a client-supplied request id: 1–64 chars drawn from
@@ -268,7 +260,7 @@ impl SlidingWindow {
                 bucket.deadlines.fetch_add(1, Ordering::Relaxed);
             }
         }
-        bucket.latency[latency_bucket(latency_s)].fetch_add(1, Ordering::Relaxed);
+        bucket.latency[Histogram::bucket_index(latency_s)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Aggregates the last `window_s` seconds (current partial second
@@ -310,17 +302,6 @@ impl SlidingWindow {
         let secs = ((queued + 1) as f64 / per_second).ceil() as u64;
         secs.clamp(1, 30)
     }
-}
-
-/// The histogram slot for a latency, mirroring
-/// [`Histogram::observe_s`]'s placement exactly.
-fn latency_bucket(seconds: f64) -> usize {
-    let seconds = if seconds.is_finite() && seconds > 0.0 { seconds } else { 0.0 };
-    let mut i = 0;
-    while i < HISTOGRAM_BUCKETS - 1 && seconds > Histogram::bucket_bound_s(i) {
-        i += 1;
-    }
-    i
 }
 
 /// Percentile estimate over a log₂ bucket array: find the bucket
@@ -480,7 +461,7 @@ impl Obs {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         let stack_probe = 0u8;
-        let salt = splitmix64(clock ^ (std::ptr::from_ref(&stack_probe) as u64));
+        let salt = splitmix64(&mut (clock ^ (std::ptr::from_ref(&stack_probe) as u64)));
         Ok(Obs {
             salt,
             seq: AtomicU64::new(0),
@@ -503,7 +484,7 @@ impl Obs {
     /// unguessable enough that concurrent clients' logs do not collide.
     fn next_id(&self) -> String {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let rand = splitmix64(self.salt ^ seq) & 0xffff_ffff;
+        let rand = splitmix64(&mut (self.salt ^ seq)) & 0xffff_ffff;
         format!("{seq:08x}-{rand:08x}")
     }
 
@@ -916,7 +897,7 @@ mod tests {
     fn percentile_interpolates_within_buckets() {
         let mut latency = [0u64; HISTOGRAM_BUCKETS];
         // All mass in one bucket: percentiles stay within its bounds.
-        let idx = latency_bucket(0.010);
+        let idx = Histogram::bucket_index(0.010);
         latency[idx] = 100;
         let p50 = percentile(&latency, 0.50);
         let p99 = percentile(&latency, 0.99);
@@ -924,16 +905,6 @@ mod tests {
         let hi = Histogram::bucket_bound_s(idx);
         assert!(p50 > lo && p50 <= hi);
         assert!(p99 > p50 && p99 <= hi);
-    }
-
-    #[test]
-    fn latency_bucket_matches_model_histogram() {
-        for &s in &[0.0, 1e-9, 0.001, 0.01, 1.0, 600.0] {
-            let mut h = Histogram::default();
-            h.observe_s(s);
-            let expected = h.buckets.iter().position(|&n| n == 1).unwrap();
-            assert_eq!(latency_bucket(s), expected, "latency {s}");
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@ use crate::cache::{fnv1a, CacheKey, PreparedCache, PreparedEntry};
 use crate::http::{parse_request, ParseError, Request, Response};
 use crate::obs::{sanitize_client_id, Obs, ObsConfig, RequestCtx};
 use crispr_engines::{
-    scan_prepared, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine,
-    Engine, EngineError, NfaEngine, PreparedSearch, ScalarEngine, ScanDeployment, SearchError,
+    run_scan, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
+    EngineError, NfaEngine, PreparedSearch, Reference, ScalarEngine, ScanDeployment, SearchError,
     DEFAULT_CHUNK_RETRIES,
 };
 use crispr_genome::diskindex::GenomeIndex;
@@ -132,25 +132,14 @@ impl ServeConfig {
     }
 }
 
-/// How an index-booted daemon got its genome, for the provenance
-/// headers and `/metrics` series.
-#[derive(Debug, Clone, Copy)]
-struct IndexProvenance {
-    /// Whether the index bytes were memory-mapped (vs the buffered-read
-    /// fallback).
-    mmap: bool,
-    /// Seconds spent opening and validating the index file.
-    load_s: f64,
-    /// Seconds spent unpacking the indexed contigs into the resident
-    /// genome at boot.
-    unpack_s: f64,
-}
-
 /// Everything the accept loop and workers share.
 struct Shared {
-    genome: Genome,
+    /// The genome every request scans: in memory, or an index scanned
+    /// in place.
+    reference: Reference,
     contig_names: Vec<String>,
-    index: Option<IndexProvenance>,
+    /// Seconds the caller spent opening and validating the boot index.
+    index_load_s: f64,
     cfg: ServeConfig,
     cache: PreparedCache,
     /// Aggregate of every completed search's metrics, for `/metrics`.
@@ -173,6 +162,16 @@ struct Shared {
     /// Per-request observability: ids, access log, SLO window,
     /// in-flight table, slow-trace capture.
     obs: Arc<Obs>,
+}
+
+/// How an index-booted daemon reads its index (`mmap` or buffered
+/// `read`), for the provenance headers and `/metrics` series; `None` for
+/// an in-memory genome.
+fn index_mode(reference: &Reference) -> Option<&'static str> {
+    match reference {
+        Reference::Genome(_) => None,
+        Reference::Index(index) => Some(if index.mapped() { "mmap" } else { "read" }),
+    }
 }
 
 /// A running daemon. Dropping the handle does *not* stop the threads —
@@ -198,53 +197,40 @@ impl Server {
     ///
     /// Socket errors from binding `cfg.addr`.
     pub fn start(genome: Genome, cfg: ServeConfig) -> io::Result<Server> {
-        Server::start_with(genome, None, cfg)
+        Server::start_with(Reference::Genome(genome), 0.0, cfg)
     }
 
-    /// [`Server::start`] from an opened on-disk index: the genome is
-    /// materialized from the index's packed payloads once at boot (no
-    /// FASTA parse), and every `/search` response carries an
+    /// [`Server::start`] from an opened on-disk index, which every
+    /// request scans in place (no FASTA parse, no resident unpacked
+    /// genome), and every `/search` response carries an
     /// `X-Offtarget-Index: mmap|read` provenance header. `load_s` is how
     /// long the caller's open+validate of the index took, surfaced on
     /// `/metrics` as `offtarget_serve_index_load_seconds`.
     ///
     /// # Errors
     ///
-    /// Socket errors from binding `cfg.addr`, plus `InvalidData` when
-    /// the index payloads fail to materialize.
-    pub fn start_indexed(index: &GenomeIndex, load_s: f64, cfg: ServeConfig) -> io::Result<Server> {
-        let unpack_start = Instant::now();
-        let genome = index
-            .to_genome()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let provenance = IndexProvenance {
-            mmap: index.mapped(),
-            load_s,
-            unpack_s: unpack_start.elapsed().as_secs_f64(),
-        };
-        Server::start_with(genome, Some(provenance), cfg)
-    }
-
-    fn start_with(
-        genome: Genome,
-        index: Option<IndexProvenance>,
+    /// Socket errors from binding `cfg.addr`.
+    pub fn start_indexed(
+        index: Arc<GenomeIndex>,
+        load_s: f64,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
+        Server::start_with(Reference::Index(index), load_s, cfg)
+    }
+
+    fn start_with(reference: Reference, index_load_s: f64, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let contig_names = genome.contigs().iter().map(|c| c.name().to_string()).collect();
+        let source = reference.source();
+        let contig_names =
+            (0..source.contig_count()).map(|ci| source.contig_name(ci).to_string()).collect();
         let queue_capacity = cfg.queue_capacity();
-        let index_str = match &index {
-            Some(provenance) if provenance.mmap => "mmap",
-            Some(_) => "read",
-            None => "-",
-        };
-        let obs = Arc::new(Obs::new(&cfg.obs, index_str)?);
+        let obs = Arc::new(Obs::new(&cfg.obs, index_mode(&reference).unwrap_or("-"))?);
         let shared = Arc::new(Shared {
-            genome,
+            reference,
             contig_names,
-            index,
+            index_load_s,
             cache: PreparedCache::new(cfg.cache_capacity),
             cfg,
             metrics: Mutex::new(SearchMetrics::new("serve")),
@@ -736,7 +722,8 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         .with_cancel(cancel.clone());
     ctx.cache = Some(cache_hit);
     let scan_start = Instant::now();
-    let outcome = scan_prepared(entry.prepared.as_ref(), &shared.genome, &deployment, &mut metrics);
+    let outcome =
+        run_scan(entry.prepared.as_ref(), shared.reference.source(), &deployment, &mut metrics);
     ctx.scan_s = scan_start.elapsed().as_secs_f64();
     drop(scenario);
     if !cache_hit {
@@ -819,9 +806,8 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
     let mut response = Response::new(if partial { 206 } else { 200 }, content_type, body)
         .header("X-Offtarget-Cache", if cache_hit { "hit" } else { "miss" })
         .header("X-Offtarget-Hits", hits.len().to_string());
-    if let Some(provenance) = &shared.index {
-        response =
-            response.header("X-Offtarget-Index", if provenance.mmap { "mmap" } else { "read" });
+    if let Some(mode) = index_mode(&shared.reference) {
+        response = response.header("X-Offtarget-Index", mode);
     }
     if let Some((chunks_scanned, chunks_total)) = tripped {
         response = response
@@ -1013,27 +999,20 @@ fn handle_metrics(shared: &Shared) -> Response {
         "Admission-queue capacity; at depth == capacity new connections shed.",
         shared.queue_capacity.to_string(),
     );
-    if let Some(provenance) = &shared.index {
+    if let Some(mode) = index_mode(&shared.reference) {
         push_series(
             &mut text,
             "offtarget_serve_index_mmap",
             "gauge",
             "1 when the boot index was memory-mapped, 0 for buffered read.",
-            if provenance.mmap { "1" } else { "0" }.to_string(),
+            if mode == "mmap" { "1" } else { "0" }.to_string(),
         );
         push_series(
             &mut text,
             "offtarget_serve_index_load_seconds",
             "gauge",
             "Seconds spent opening and validating the boot index.",
-            format!("{}", provenance.load_s),
-        );
-        push_series(
-            &mut text,
-            "offtarget_serve_index_unpack_seconds",
-            "gauge",
-            "Seconds spent unpacking indexed contigs into the resident genome.",
-            format!("{}", provenance.unpack_s),
+            format!("{}", shared.index_load_s),
         );
     }
     // Sliding-window SLOs: one family per quantity, a sample per
@@ -1123,8 +1102,8 @@ fn handle_healthz(shared: &Shared) -> Response {
     let w1 = shared.obs.window.snapshot(60);
     let body = format!(
         "{{\"status\":\"{status}\",\"genome_bases\":{},\"contigs\":{},\"cache_entries\":{},\"workers\":{},\"queue_depth\":{queued},\"queue_capacity\":{},\"uptime_seconds\":{:.3},\"window_1m\":{{\"qps\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"error_rate\":{:.4},\"shed_rate\":{:.4}}}}}\n",
-        shared.genome.total_len(),
-        shared.genome.contig_count(),
+        shared.reference.source().total_len(),
+        shared.contig_names.len(),
         shared.cache.len(),
         shared.cfg.workers,
         shared.queue_capacity,

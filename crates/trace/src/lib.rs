@@ -443,7 +443,7 @@ mod tests {
                     drop(span_args("chunk", i, 100 * i));
                     // The scope unblocks when this closure returns, which
                     // can be before the thread's TLS destructor flushes;
-                    // flush explicitly (as ParallelEngine workers do) so
+                    // flush explicitly (as the scan driver's workers do) so
                     // finish() below is guaranteed to see these events.
                     flush_thread();
                 });

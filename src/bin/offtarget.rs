@@ -18,7 +18,7 @@ use crispr_offtarget::model::json::escape;
 use crispr_offtarget::trace;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,9 +72,9 @@ const USAGE: &str = "usage:
   offtarget synth  --len N [--seed S] [--gc F] [--contigs C] -o genome.fa
   offtarget guides --count N [--from-genome genome.fa] [--seed S] [--pam MOTIF[/5]] -o guides.txt
   offtarget index  --genome genome.fa -o genome.idx [--qgram Q]
-  offtarget search (--genome genome.fa | --index genome.idx [--shard N])
-                   --guides guides.txt [-k K]
-                   [--platform NAME] [--threads T] [--format tsv|json]
+  offtarget search (--genome genome.fa | --index genome.idx)
+                   --guides guides.txt [-k K] [--platform NAME]
+                   [--threads T] [--shard N] [--format tsv|json]
                    [--metrics FILE|-] [--retries N] [--timeout SECS]
                    [--trace FILE|-] [--prom FILE|-] [--progress]
                    [--inject 'site=kind[:prob[,seed[,times]]][;...]'] [-o hits]
@@ -131,10 +131,11 @@ index.write serve.accept serve.worker serve.respond
 index: `offtarget index` serializes the 2-bit packed bases, per-base
 anchor bitmaps, and q-gram seed tables into one versioned, checksummed
 file; `search --index` / `serve --index` memory-map it (falling back to
-a buffered read) and skip the FASTA parse and all per-run derivation.
-`--shard N` streams each contig in N-window shards to bound resident
-memory on references larger than RAM. `--qgram 0` omits the seed
-tables.
+a buffered read), skip the FASTA parse and all per-run derivation, and
+scan the index in place: resident memory is bounded by the chunks in
+flight, not the genome. `--shard N` scans each contig in chunks of N
+window starts (default: the contig split across --threads, index
+chunks capped at 4 Mi windows). `--qgram 0` omits the seed tables.
 
 exit codes: 0 success; 1 error; 2 usage; 3 partial results — some chunks
 failed every retry; the recovered hits and every requested sidecar
@@ -269,20 +270,20 @@ fn parse_secs(
     Ok(Duration::from_secs_f64(secs))
 }
 
+/// The `-o` destination (stdout when absent); see [`file_or_stdout`].
 fn out_writer(flags: &HashMap<String, String>) -> Result<Box<dyn Write>, CliError> {
-    match flags.get("out") {
-        Some(path) => file_or_stdout(path),
-        None => Ok(Box::new(std::io::stdout())),
-    }
+    file_or_stdout(flags.get("out").map_or("-", String::as_str))
 }
 
-/// Opens `path` for writing, with `-` meaning stdout.
+/// Opens `path` for buffered writing, with `-` meaning stdout. Dropping
+/// a `BufWriter` discards write errors, so every caller flushes
+/// explicitly before it returns.
 fn file_or_stdout(path: &str) -> Result<Box<dyn Write>, CliError> {
-    if path == "-" {
-        Ok(Box::new(std::io::stdout()))
+    Ok(if path == "-" {
+        Box::new(BufWriter::new(std::io::stdout()))
     } else {
-        Ok(Box::new(File::create(path)?))
-    }
+        Box::new(BufWriter::new(File::create(path)?))
+    })
 }
 
 /// The ETA column of the `--progress` status line: the projected seconds
@@ -381,6 +382,7 @@ fn cmd_synth(args: &[String]) -> Result<(), CliError> {
     let genome = spec.generate();
     let mut writer = out_writer(&flags)?;
     fasta::write_genome(&mut writer, &genome, 70)?;
+    writer.flush()?;
     eprintln!("wrote {} bases in {} contigs", genome.total_len(), genome.contig_count());
     Ok(())
 }
@@ -402,6 +404,7 @@ fn cmd_guides(args: &[String]) -> Result<(), CliError> {
     }
     let mut writer = out_writer(&flags)?;
     guide_io::write_guides(&mut writer, &guides)?;
+    writer.flush()?;
     Ok(())
 }
 
@@ -456,6 +459,10 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         parse_platform(flags.get("platform").map(String::as_str).unwrap_or("cpu-hyperscan"))?;
     let threads = parse(&flags, "threads", 1usize)?;
     let retries = parse(&flags, "retries", crispr_offtarget::engines::DEFAULT_CHUNK_RETRIES)?;
+    let shard = match flags.get("shard") {
+        Some(v) => Some(v.parse::<usize>().map_err(|e| format!("--shard {v:?}: {e}"))?),
+        None => None,
+    };
     let format = flags.get("format").map(String::as_str).unwrap_or("tsv");
     let timeout = match flags.contains_key("timeout") {
         true => Some(parse_secs(&flags, "timeout", Duration::from_secs(1))?),
@@ -467,24 +474,16 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     if flags.contains_key("genome") && flags.contains_key("index") {
         return Err("--genome and --index are mutually exclusive".into());
     }
-    if flags.contains_key("shard") && !flags.contains_key("index") {
-        return Err("--shard requires --index (the direct path scans whole contigs)".into());
-    }
     let (search, contig_names, total_bases) = match flags.get("index") {
         Some(path) => {
             use crispr_offtarget::genome::diskindex::GenomeIndex;
             let load_start = Instant::now();
             let index = Arc::new(GenomeIndex::open(path)?);
             let load_s = load_start.elapsed().as_secs_f64();
-            let shard = match flags.get("shard") {
-                Some(v) => Some(v.parse::<usize>().map_err(|e| format!("--shard {v:?}: {e}"))?),
-                None => None,
-            };
             let names: Vec<String> =
                 (0..index.contig_count()).map(|ci| index.contig_name(ci).to_string()).collect();
             let total = index.total_len() as u64;
-            let search = OffTargetSearch::from_index(index).shard(shard).index_load_seconds(load_s);
-            (search, names, total)
+            (OffTargetSearch::from_index(index).index_load_seconds(load_s), names, total)
         }
         None => {
             let (genome, degraded_inputs) =
@@ -512,6 +511,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         .max_mismatches(k)
         .platform(platform)
         .threads(threads)
+        .shard(shard)
         .chunk_retries(retries);
     if let Some(budget) = timeout {
         search = search.deadline(budget);
@@ -524,12 +524,13 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     // The timeline is written even when the search failed — a fault
     // trace is exactly when the timeline matters most — but a search
     // error still wins over a trace-write error.
-    let trace_written = match session {
+    let trace_written: Result<(), CliError> = match session {
         Some(session) => {
             let data = session.finish();
             flags.get("trace").map_or(Ok(()), |path| {
-                file_or_stdout(path)
-                    .and_then(|mut w| Ok(w.write_all(trace::chrome::render(&data).as_bytes())?))
+                let mut w = file_or_stdout(path)?;
+                w.write_all(trace::chrome::render(&data).as_bytes())?;
+                Ok(w.flush()?)
             })
         }
         None => Ok(()),
@@ -741,8 +742,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         Some(path) => {
             use crispr_offtarget::genome::diskindex::GenomeIndex;
             let load_start = Instant::now();
-            let index = GenomeIndex::open(path)?;
-            Server::start_indexed(&index, load_start.elapsed().as_secs_f64(), cfg.clone())?
+            let index = Arc::new(GenomeIndex::open(path)?);
+            Server::start_indexed(index, load_start.elapsed().as_secs_f64(), cfg.clone())?
         }
         None => {
             let (genome, _) =
@@ -771,6 +772,7 @@ fn cmd_anml(args: &[String]) -> Result<(), CliError> {
     let set = compile::compile_guides(&guides, &CompileOptions::new(k))?;
     let mut writer = out_writer(&flags)?;
     writer.write_all(anml::to_anml(&set.automaton, "offtarget").as_bytes())?;
+    writer.flush()?;
     eprintln!(
         "{} guides → {} states, {} edges",
         set.guide_count,

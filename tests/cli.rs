@@ -175,6 +175,51 @@ fn persistent_faults_exit_with_the_partial_code() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `--threads 1` runs the same fenced, retrying scan as the fan-out, so
+/// a persistent chunk fault is a partial result there too: exit 3 with
+/// the (empty) recovered hits and every sidecar on disk.
+#[test]
+fn single_thread_persistent_faults_exit_3_with_outputs() {
+    let dir = scratch("inject-partial-1t");
+    let (genome, guides) = write_workload(&dir);
+    let hits_path = dir.join("hits.tsv");
+    let metrics_path = dir.join("metrics.json");
+    let prom_path = dir.join("metrics.prom");
+    let output = run_search(&[
+        "--genome",
+        genome.to_str().unwrap(),
+        "--guides",
+        guides.to_str().unwrap(),
+        "--threads",
+        "1",
+        "--retries",
+        "0",
+        "--inject",
+        "parallel.chunk=panic",
+        "-o",
+        hits_path.to_str().unwrap(),
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+        "--prom",
+        prom_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("failed chunk"), "stderr: {stderr}");
+    let tsv = fs::read_to_string(&hits_path).expect("hits written");
+    assert_eq!(tsv, "#guide\tcontig\tpos\tstrand\tmismatches\n", "the only chunk failed");
+    let metrics = json::parse(&fs::read_to_string(&metrics_path).expect("metrics written"))
+        .expect("metrics JSON parses");
+    let counters = metrics.get("counters").expect("counters");
+    let counter = |name: &str| counters.get(name).and_then(Value::as_f64).expect(name);
+    assert_eq!(counter("chunks_failed"), 1.0);
+    assert_eq!(counter("faults_injected"), 1.0);
+    let prom = fs::read_to_string(&prom_path).expect("prom written");
+    assert!(prom.contains("offtarget_chunks_failed_total 1"), "prom: {prom}");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The partial-results contract, end to end: an injected fault that
 /// survives every retry must still leave the recovered hit TSV, the
 /// `--metrics` JSON, and the `--prom` text on disk — all mutually

@@ -9,7 +9,7 @@
 //! bytes nor change any work counter relative to the serial scan.
 
 use crispr_offtarget::engines::{
-    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ParallelEngine,
+    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ScanDeployment,
 };
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::Genome;
@@ -27,8 +27,20 @@ fn workload() -> (Genome, Vec<Guide>) {
 }
 
 fn run(engine: &dyn Engine, genome: &Genome, guides: &[Guide]) -> (Vec<Hit>, SearchMetrics) {
+    run_on(engine, genome, guides, 1)
+}
+
+/// [`run`] with the scan fanned out over `threads` workers.
+fn run_on(
+    engine: &dyn Engine,
+    genome: &Genome,
+    guides: &[Guide],
+    threads: usize,
+) -> (Vec<Hit>, SearchMetrics) {
     let mut m = SearchMetrics::default();
-    let hits = engine.search_metered(genome, guides, K, &mut m).expect("engine runs");
+    let deployment = ScanDeployment::new(threads);
+    let hits =
+        run_search(engine, guides, K, genome.into(), &deployment, &mut m).expect("engine runs");
     (hits, m)
 }
 
@@ -94,8 +106,7 @@ fn parallel_batched_preserves_counters_and_copies_nothing() {
     let (genome, guides) = workload();
     let (serial_hits, serial_m) = run(&BitParallelEngine::batched(), &genome, &guides);
     for threads in [2, 5] {
-        let engine = ParallelEngine::new(BitParallelEngine::batched(), threads);
-        let (par_hits, par_m) = run(&engine, &genome, &guides);
+        let (par_hits, par_m) = run_on(&BitParallelEngine::batched(), &genome, &guides, threads);
         assert_eq!(par_hits, serial_hits, "threads={threads}");
         // Chunk windows partition the contig windows exactly, so every
         // work counter — including the multiseed meters — is invariant
@@ -117,11 +128,8 @@ fn parallel_batched_preserves_counters_and_copies_nothing() {
 #[test]
 fn parallel_per_guide_still_copies_nothing() {
     let (genome, guides) = workload();
-    for engine in [
-        ParallelEngine::new(BitParallelEngine::new(), 3),
-        ParallelEngine::new(BitParallelEngine::without_prefilter(), 3),
-    ] {
-        let (_, m) = run(&engine, &genome, &guides);
+    for engine in [BitParallelEngine::new(), BitParallelEngine::without_prefilter()] {
+        let (_, m) = run_on(&engine, &genome, &guides, 3);
         assert_eq!(m.counters.bytes_copied, 0);
         assert_eq!(m.parallel.as_ref().expect("parallel stats").worker_phases.guide_compile_s, 0.0);
     }

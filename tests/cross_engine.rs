@@ -101,12 +101,54 @@ fn extension_engines_agree_with_reference() {
 
 mod differential {
     use crispr_offtarget::engines::{
-        BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
-        ParallelEngine, PigeonholeEngine, ScalarEngine, SimdBackend,
+        run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
+        EngineError, NfaEngine, PigeonholeEngine, PreparedSearch, ScalarEngine, ScanDeployment,
+        SimdBackend,
     };
     use crispr_offtarget::genome::{Base, DnaSeq, Genome};
     use crispr_offtarget::guides::genset::{self, PlantPlan};
-    use crispr_offtarget::guides::{Guide, Pam};
+    use crispr_offtarget::guides::{Guide, Hit, Pam};
+    use crispr_offtarget::model::SearchMetrics;
+
+    /// An engine whose `search` runs through the scan driver under a
+    /// multi-threaded (and optionally adversarially chunked) deployment,
+    /// so deployed variants sit in the same matrix as the plain engines.
+    struct Deployed<E> {
+        inner: E,
+        deployment: ScanDeployment,
+    }
+
+    impl<E: Engine> Deployed<E> {
+        fn new(inner: E, threads: usize, chunk_len: Option<usize>) -> Box<Deployed<E>> {
+            let mut deployment = ScanDeployment::new(threads);
+            deployment.chunk_len = chunk_len;
+            Box::new(Deployed { inner, deployment })
+        }
+    }
+
+    impl<E: Engine> Engine for Deployed<E> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn prepare(
+            &self,
+            guides: &[Guide],
+            k: usize,
+        ) -> Result<Box<dyn PreparedSearch>, EngineError> {
+            self.inner.prepare(guides, k)
+        }
+
+        fn search(
+            &self,
+            genome: &Genome,
+            guides: &[Guide],
+            k: usize,
+        ) -> Result<Vec<Hit>, EngineError> {
+            let mut m = SearchMetrics::default();
+            run_search(&self.inner, guides, k, genome.into(), &self.deployment, &mut m)
+        }
+    }
 
     /// Deterministic splitmix64 stream — the harness's only entropy
     /// source, so every combination is replayable from its seed.
@@ -199,20 +241,14 @@ mod differential {
             ("casot-batched", Box::new(CasotEngine::batched())),
             ("nfa", Box::new(NfaEngine::new())),
             ("pigeonhole", Box::new(PigeonholeEngine::new())),
-            ("parallel-batched", Box::new(ParallelEngine::new(BitParallelEngine::batched(), 4))),
+            ("parallel-batched", Deployed::new(BitParallelEngine::batched(), 4, None)),
             (
                 "parallel-batched-chunk-minus-1",
-                Box::new(
-                    ParallelEngine::new(CasOffinderCpuEngine::batched(), 3)
-                        .with_chunk_len(site_len - 1),
-                ),
+                Deployed::new(CasOffinderCpuEngine::batched(), 3, Some(site_len - 1)),
             ),
             (
                 "parallel-batched-chunk-plus-1",
-                Box::new(
-                    ParallelEngine::new(BitParallelEngine::batched(), 3)
-                        .with_chunk_len(site_len + 1),
-                ),
+                Deployed::new(BitParallelEngine::batched(), 3, Some(site_len + 1)),
             ),
         ];
         // Forced-SIMD twins: every backend the host can run (the vector

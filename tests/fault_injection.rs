@@ -21,13 +21,14 @@
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
-    BitParallelEngine, CasOffinderCpuEngine, Engine, ParallelEngine, ScalarEngine, SearchError,
+    run_search, BitParallelEngine, CasOffinderCpuEngine, Engine, ScalarEngine, ScanDeployment,
+    SearchError, DEFAULT_CHUNK_RETRIES,
 };
 use crispr_offtarget::failpoint::{self, FailScenario};
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
-use crispr_offtarget::guides::{io as guide_io, Guide, Pam};
+use crispr_offtarget::guides::{io as guide_io, Guide, Hit, Pam};
 use crispr_offtarget::model::SearchMetrics;
 
 /// A multi-contig planted workload big enough to split into many chunks.
@@ -39,39 +40,78 @@ fn workload(seed: u64, k: usize) -> (Genome, Vec<Guide>) {
     (genome, guides)
 }
 
+/// `engine` through the scan driver on `threads` threads, re-queuing a
+/// failed chunk at most `retries` times.
+fn scan(
+    engine: &dyn Engine,
+    (genome, guides): (&Genome, &[Guide]),
+    k: usize,
+    threads: usize,
+    retries: u32,
+    m: &mut SearchMetrics,
+) -> Result<Vec<Hit>, SearchError> {
+    let deployment = ScanDeployment::new(threads).with_retry_limit(retries);
+    run_search(engine, guides, k, genome.into(), &deployment, m)
+}
+
+/// Runs a clean baseline while holding the scenario lock with nothing
+/// armed, so no concurrently running test's faults can reach it.
+fn quiet<T>(baseline: impl FnOnce() -> T) -> T {
+    let _quiet = FailScenario::setup("");
+    baseline()
+}
+
 #[test]
 fn chunk_panics_heal_to_clean_hits_and_counters() {
     let (genome, guides) = workload(201, 2);
-    let engine = ParallelEngine::new(BitParallelEngine::new(), 4);
-    let mut clean_m = SearchMetrics::default();
-    let clean = engine.search_metered(&genome, &guides, 2, &mut clean_m).unwrap();
+    let engine = BitParallelEngine::new();
+    // The inline single-thread drain heals exactly like the fan-out.
+    for threads in [1, 4] {
+        let mut clean_m = SearchMetrics::default();
+        let clean = quiet(|| {
+            scan(&engine, (&genome, &guides), 2, threads, DEFAULT_CHUNK_RETRIES, &mut clean_m)
+        })
+        .unwrap();
 
-    // Three guaranteed panics, then the site exhausts: the default retry
-    // budget (3 re-queues per chunk) absorbs them all.
-    let _scenario = FailScenario::setup("parallel.chunk=panic:1.0,7,3");
-    let mut m = SearchMetrics::default();
-    let hits = engine.search_metered(&genome, &guides, 2, &mut m).unwrap();
+        // Three guaranteed panics, then the site exhausts: the default
+        // retry budget (3 re-queues per chunk) absorbs them all.
+        let _scenario = FailScenario::setup("parallel.chunk=panic:1.0,7,3");
+        let mut m = SearchMetrics::default();
+        let hits =
+            scan(&engine, (&genome, &guides), 2, threads, DEFAULT_CHUNK_RETRIES, &mut m).unwrap();
 
-    assert_eq!(hits, clean, "healed run must return the clean hit set");
-    assert_eq!(m.counters.faults_injected, 3);
-    assert_eq!(m.counters.chunks_retried, 3);
-    assert_eq!(m.counters.chunks_failed, 0);
-    // Failed attempts contribute nothing: scan-side counters equal a
-    // clean run's, fault bookkeeping aside.
-    assert_eq!(m.counters.windows_scanned, clean_m.counters.windows_scanned);
-    assert_eq!(m.counters.raw_hits, clean_m.counters.raw_hits);
-    assert_eq!(m.counters.candidates_verified, clean_m.counters.candidates_verified);
+        assert_eq!(hits, clean, "threads={threads}: healed run must return the clean hit set");
+        assert_eq!(m.counters.faults_injected, 3, "threads={threads}");
+        assert_eq!(m.counters.chunks_retried, 3, "threads={threads}");
+        assert_eq!(m.counters.chunks_failed, 0, "threads={threads}");
+        // Failed attempts contribute nothing: scan-side counters equal a
+        // clean run's, fault bookkeeping aside.
+        assert_eq!(m.counters.windows_scanned, clean_m.counters.windows_scanned);
+        assert_eq!(m.counters.raw_hits, clean_m.counters.raw_hits);
+        assert_eq!(m.counters.candidates_verified, clean_m.counters.candidates_verified);
+        // Each re-queued chunk was dequeued again, so each healing records
+        // one backoff sample; failed attempts record no chunk_scan_s sample.
+        assert_eq!(m.histogram("retry_backoff_s").map(|h| h.count()), Some(3));
+        assert_eq!(
+            m.histogram("chunk_scan_s").map(|h| h.count()),
+            clean_m.histogram("chunk_scan_s").map(|h| h.count())
+        );
+        assert_eq!(m.parallel.is_some(), threads > 1, "threads={threads}");
+    }
 }
 
 #[test]
 fn chunk_error_faults_heal_like_panics() {
     let (genome, guides) = workload(211, 1);
-    let engine = ParallelEngine::new(CasOffinderCpuEngine::new(), 3);
-    let clean = engine.search(&genome, &guides, 1).unwrap();
+    let engine = CasOffinderCpuEngine::new();
+    let retries = DEFAULT_CHUNK_RETRIES;
+    let clean =
+        quiet(|| scan(&engine, (&genome, &guides), 1, 3, retries, &mut SearchMetrics::default()))
+            .unwrap();
 
     let _scenario = FailScenario::setup("parallel.chunk=error:1.0,11,2");
     let mut m = SearchMetrics::default();
-    let hits = engine.search_metered(&genome, &guides, 1, &mut m).unwrap();
+    let hits = scan(&engine, (&genome, &guides), 1, 3, retries, &mut m).unwrap();
 
     assert_eq!(hits, clean);
     assert_eq!(m.counters.faults_injected, 2);
@@ -84,10 +124,9 @@ fn exhausted_retries_report_partial_with_provenance() {
     let (genome, guides) = workload(202, 1);
     // Persistent fault, retry budget 2: every chunk is attempted exactly
     // three times, then reported — never aborted, never silently dropped.
-    let engine = ParallelEngine::new(CasOffinderCpuEngine::new(), 3).with_retry_limit(2);
     let _scenario = FailScenario::setup("parallel.chunk=panic");
     let mut m = SearchMetrics::default();
-    let err = engine.search_metered(&genome, &guides, 1, &mut m).unwrap_err();
+    let err = scan(&CasOffinderCpuEngine::new(), (&genome, &guides), 1, 3, 2, &mut m).unwrap_err();
 
     assert!(err.is_partial());
     let SearchError::Partial { failures, chunks_total, hits } = err else {
@@ -109,15 +148,36 @@ fn exhausted_retries_report_partial_with_provenance() {
 }
 
 #[test]
+fn persistent_faults_become_structured_partial_errors() {
+    let (genome, guides) = workload(208, 1);
+    // The inline single-thread drain keeps the same contract as the
+    // fan-out: every chunk attempted 1 + retries times, then reported.
+    for threads in [1, 2] {
+        let _scenario = FailScenario::setup("parallel.chunk=error");
+        let mut m = SearchMetrics::default();
+        let err =
+            scan(&ScalarEngine::new(), (&genome, &guides), 1, threads, 1, &mut m).unwrap_err();
+        let SearchError::Partial { failures, chunks_total, hits } = err else {
+            panic!("threads={threads}: expected Partial");
+        };
+        assert_eq!(failures.len() as u64, chunks_total, "threads={threads}");
+        assert!(hits.is_empty());
+        assert!(failures.iter().all(|f| f.attempts == 2 && !f.contig_name.is_empty()));
+        assert_eq!(m.counters.chunks_failed, chunks_total, "threads={threads}");
+    }
+}
+
+#[test]
 fn one_poisoned_chunk_still_recovers_the_rest() {
     let (genome, guides) = workload(203, 2);
-    let engine = ParallelEngine::new(BitParallelEngine::new(), 4).with_retry_limit(0);
-    let clean = engine.search(&genome, &guides, 2).unwrap();
+    let engine = BitParallelEngine::new();
+    let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
 
     // Exactly one fire, no retries allowed: one chunk fails, every other
     // chunk's hits are still aggregated into the partial report.
     let _scenario = FailScenario::setup("parallel.chunk=panic:1.0,3,1");
-    let err = engine.search(&genome, &guides, 2).unwrap_err();
+    let mut m = SearchMetrics::default();
+    let err = scan(&engine, (&genome, &guides), 2, 4, 0, &mut m).unwrap_err();
     let SearchError::Partial { failures, chunks_total, hits } = err else {
         panic!("expected Partial");
     };
@@ -131,12 +191,48 @@ fn one_poisoned_chunk_still_recovers_the_rest() {
         genome.contigs()[failure.contig as usize].name(),
         "provenance names the failing contig"
     );
+    // Recovered hits are normalized, and every clean hit outside the
+    // failed chunk's span was recovered.
+    assert!(hits.windows(2).all(|w| w[0] < w[1]));
+    let f = failure;
+    let lost = |h: &Hit| h.contig == f.contig && h.pos >= f.start && h.pos < f.start + f.len;
+    for hit in clean.iter().filter(|h| !lost(h)) {
+        assert!(hits.binary_search(hit).is_ok(), "recoverable hit {hit} missing");
+    }
+    // The metrics passed in survive the partial outcome.
+    assert_eq!(m.counters.chunks_failed, 1);
+    assert!(m.parallel.is_some());
+}
+
+/// The partial-results contract one level up: the search builder turns
+/// a partial scan into an `Ok` report carrying the recovered hits, the
+/// failure provenance, and full metrics.
+#[test]
+fn partial_runs_return_recovered_hits_and_provenance() {
+    let (genome, guides) = workload(209, 2);
+    let search = OffTargetSearch::new(genome).guides(guides).max_mismatches(2).threads(4);
+    let clean = quiet(|| search.run()).unwrap();
+    assert!(!clean.is_partial() && clean.chunk_failures().is_empty());
+
+    // One guaranteed fire, no retries: exactly one chunk is lost, and the
+    // run must still return Ok — report, hits, metrics intact.
+    let _scenario = FailScenario::setup("parallel.chunk=error:1.0,21,1");
+    let report = search.chunk_retries(0).run().unwrap();
+    assert!(report.is_partial());
+    assert_eq!(report.chunk_failures().len(), 1);
+    assert!(report.chunks_total() > 1);
+    assert!(!report.chunk_failures()[0].contig_name.is_empty());
+    assert!(report.hits().iter().all(|h| clean.hits().binary_search(h).is_ok()));
+    let m = report.metrics();
+    assert_eq!(m.counters.chunks_failed, 1);
+    assert!(m.phases.kernel_scan_s > 0.0, "metrics survive the partial outcome");
+    assert!(m.parallel.is_some());
 }
 
 #[test]
 fn build_site_faults_degrade_instead_of_failing() {
     let (genome, guides) = workload(204, 2);
-    let truth = ScalarEngine::new().search(&genome, &guides, 2).unwrap();
+    let truth = quiet(|| ScalarEngine::new().search(&genome, &guides, 2)).unwrap();
 
     // (spec, engine): the batched path owns the shared seed automaton
     // (multiseed.build); the per-guide path owns the PAM-anchor
@@ -178,13 +274,15 @@ fn io_site_faults_surface_as_structured_errors() {
 #[test]
 fn every_site_armed_at_once_heals_to_clean_hits() {
     let (genome, guides) = workload(205, 2);
-    let clean = OffTargetSearch::new(genome.clone())
-        .guides(guides.clone())
-        .max_mismatches(2)
-        .platform(Platform::CpuBitParallel)
-        .threads(4)
-        .run()
-        .unwrap();
+    let clean = quiet(|| {
+        OffTargetSearch::new(genome.clone())
+            .guides(guides.clone())
+            .max_mismatches(2)
+            .platform(Platform::CpuBitParallel)
+            .threads(4)
+            .run()
+    })
+    .unwrap();
 
     let _scenario = FailScenario::setup(
         "parallel.chunk=panic:1.0,17,2;prefilter.build=error;multiseed.build=panic;\
@@ -226,13 +324,12 @@ fn rotating_seed_probabilistic_faults_heal() {
     let seed: u64 =
         std::env::var("FAULT_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0xFA017);
     let (genome, guides) = workload(207, 2);
-    let engine = ParallelEngine::new(BitParallelEngine::new(), 4).with_retry_limit(8);
-    let clean = engine.search(&genome, &guides, 2).unwrap();
+    let engine = BitParallelEngine::new();
+    let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
 
     let _scenario = FailScenario::setup(&format!("parallel.chunk=panic:0.3,{seed},6"));
     let mut m = SearchMetrics::default();
-    let hits = engine
-        .search_metered(&genome, &guides, 2, &mut m)
+    let hits = scan(&engine, (&genome, &guides), 2, 4, 8, &mut m)
         .unwrap_or_else(|e| panic!("FAULT_SEED={seed}: healing failed: {e}"));
     assert_eq!(hits, clean, "FAULT_SEED={seed}: healed hits diverge from clean run");
     assert_eq!(m.counters.chunks_failed, 0, "FAULT_SEED={seed}");
@@ -242,9 +339,10 @@ fn rotating_seed_probabilistic_faults_heal() {
 #[test]
 fn retry_budget_zero_is_fail_fast_but_still_structured() {
     let (genome, guides) = workload(206, 1);
-    let engine = ParallelEngine::new(BitParallelEngine::new(), 2).with_retry_limit(0);
     let _scenario = FailScenario::setup("parallel.chunk=error");
-    let err = engine.search(&genome, &guides, 1).unwrap_err();
+    let err =
+        scan(&BitParallelEngine::new(), (&genome, &guides), 1, 2, 0, &mut SearchMetrics::default())
+            .unwrap_err();
     let SearchError::Partial { failures, .. } = err else { panic!("expected Partial") };
     assert!(failures.iter().all(|f| f.attempts == 1), "no retries at budget zero");
 }

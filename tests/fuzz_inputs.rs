@@ -97,13 +97,17 @@ fn crlf_and_whitespace_mangled_guide_files_parse_identically() {
 /// parallel pipeline: no hits, no panic, no error.
 #[test]
 fn zero_length_genome_searches_to_empty() {
-    use crispr_offtarget::engines::{BitParallelEngine, Engine, ParallelEngine};
+    use crispr_offtarget::engines::{run_search, BitParallelEngine, ScanDeployment};
     use crispr_offtarget::guides::{genset, Pam};
+    use crispr_offtarget::model::SearchMetrics;
     let genome = fasta::read_genome(b">empty\n".as_slice()).expect("empty contig parses");
     assert_eq!(genome.total_len(), 0);
     let guides = genset::random_guides(1, 20, &Pam::ngg(), 9);
+    let deployment = ScanDeployment::new(4);
+    let mut m = SearchMetrics::default();
     let hits =
-        ParallelEngine::new(BitParallelEngine::new(), 4).search(&genome, &guides, 3).unwrap();
+        run_search(&BitParallelEngine::new(), &guides, 3, (&genome).into(), &deployment, &mut m)
+            .unwrap();
     assert!(hits.is_empty());
 }
 

@@ -12,12 +12,14 @@
 //! exist only on the indexed run and are excluded from gauge diffs.
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
-use crispr_offtarget::engines::{BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine};
+use crispr_offtarget::engines::{
+    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ScanDeployment,
+};
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{DnaSeq, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
-use crispr_offtarget::guides::{Guide, Pam};
+use crispr_offtarget::guides::{Guide, Hit, Pam};
 use crispr_offtarget::model::SearchMetrics;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -54,6 +56,20 @@ fn opened_index(genome: &Genome, tag: &str) -> GenomeIndex {
     GenomeIndex::open(&path).unwrap()
 }
 
+/// `engine` at k = 2 over `index` scanned in place on one thread, in
+/// chunks of `shard` window starts when given (whole contigs otherwise).
+fn scan_index(
+    engine: &dyn Engine,
+    index: &GenomeIndex,
+    shard: Option<usize>,
+    guides: &[Guide],
+    m: &mut SearchMetrics,
+) -> Vec<Hit> {
+    let mut deployment = ScanDeployment::new(1);
+    deployment.chunk_len = shard;
+    run_search(engine, guides, 2, index.into(), &deployment, m).unwrap()
+}
+
 /// Gauges with the index-provenance entries (present only on indexed
 /// runs) removed, for direct-vs-indexed comparison.
 fn non_index_gauges(m: &SearchMetrics) -> Vec<(String, f64)> {
@@ -77,8 +93,7 @@ fn indexed_scan_is_bit_identical_across_engines() {
         let mut direct_m = SearchMetrics::default();
         let mut indexed_m = SearchMetrics::default();
         let direct = engine.search_metered(&genome, &guides, 2, &mut direct_m).unwrap();
-        let indexed =
-            engine.search_metered_indexed(&index, None, &guides, 2, &mut indexed_m).unwrap();
+        let indexed = scan_index(engine.as_ref(), &index, None, &guides, &mut indexed_m);
         assert!(!direct.is_empty(), "{name}: workload plants hits");
         assert_eq!(direct, indexed, "{name}: hit sets differ");
         assert_eq!(direct_m.counters, indexed_m.counters, "{name}: counters differ");
@@ -96,15 +111,13 @@ fn shard_streaming_preserves_hits_and_window_counters() {
         ("cas-offinder", CasOffinderCpuEngine::new().boxed()),
     ] {
         let mut whole_m = SearchMetrics::default();
-        let whole = engine.search_metered_indexed(&index, None, &guides, 2, &mut whole_m).unwrap();
+        let whole = scan_index(engine.as_ref(), &index, None, &guides, &mut whole_m);
         // Adversarial shard lengths: single-window, primes, the packed
         // word size and its neighbors, the mask word size and its
         // neighbors, larger than any contig.
         for shard in [1usize, 7, 31, 32, 33, 63, 64, 65, 997, 1 << 20] {
             let mut sharded_m = SearchMetrics::default();
-            let sharded = engine
-                .search_metered_indexed(&index, Some(shard), &guides, 2, &mut sharded_m)
-                .unwrap();
+            let sharded = scan_index(engine.as_ref(), &index, Some(shard), &guides, &mut sharded_m);
             assert_eq!(whole, sharded, "{name}: hits differ at shard={shard}");
             // Window starts partition exactly across shards, so every
             // per-window counter matches the whole-contig pass. The one
@@ -251,9 +264,8 @@ fn read_fallback_agrees_with_mmap() {
     let engine = BitParallelEngine::new();
     let mut mapped_m = SearchMetrics::default();
     let mut owned_m = SearchMetrics::default();
-    let from_mapped =
-        engine.search_metered_indexed(&mapped, None, &guides, 2, &mut mapped_m).unwrap();
-    let from_owned = engine.search_metered_indexed(&owned, None, &guides, 2, &mut owned_m).unwrap();
+    let from_mapped = scan_index(&engine, &mapped, None, &guides, &mut mapped_m);
+    let from_owned = scan_index(&engine, &owned, None, &guides, &mut owned_m);
     assert_eq!(from_mapped, from_owned);
     assert_eq!(mapped_m.counters, owned_m.counters);
 }

@@ -19,7 +19,7 @@
 //!   completed, and a fresh retry is bit-identical to a clean run.
 
 use crispr_offtarget::engines::{
-    BitParallelEngine, CancelToken, Engine, ParallelEngine, SearchError,
+    run_search, BitParallelEngine, CancelToken, ScanDeployment, SearchError,
 };
 use crispr_offtarget::failpoint::FailScenario;
 use crispr_offtarget::genome::synth::SynthSpec;
@@ -470,10 +470,14 @@ fn cancelled_run_reports_only_completed_chunks_and_a_retry_is_clean() {
     let _serial = scan_lock();
     let (genome, guides) = workload();
     // Small chunks so the deadline lands mid-run with several chunks done.
-    let engine = ParallelEngine::new(BitParallelEngine::new(), 2).with_chunk_len(4_000);
+    let engine = BitParallelEngine::new();
+    let deployment = ScanDeployment::new(2).with_chunk_len(4_000);
+    let search = |deployment: &ScanDeployment, m: &mut SearchMetrics| {
+        run_search(&engine, &guides, 3, (&genome).into(), deployment, m)
+    };
 
     let mut clean_m = SearchMetrics::default();
-    let clean_hits = engine.search_metered(&genome, &guides, 3, &mut clean_m).unwrap();
+    let clean_hits = search(&deployment, &mut clean_m).unwrap();
     assert!(!clean_hits.is_empty());
 
     // Every chunk stalls 60 ms; the 150 ms deadline trips with some
@@ -481,8 +485,7 @@ fn cancelled_run_reports_only_completed_chunks_and_a_retry_is_clean() {
     let scenario = FailScenario::setup("parallel.chunk=delay60");
     let token = CancelToken::with_deadline(Duration::from_millis(150));
     let mut cancelled_m = SearchMetrics::default();
-    let err = engine
-        .search_cancellable(&genome, &guides, 3, &token, &mut cancelled_m)
+    let err = search(&deployment.clone().with_cancel(token), &mut cancelled_m)
         .expect_err("the deadline must trip");
     drop(scenario);
     assert!(matches!(err, SearchError::DeadlineExceeded { .. }), "{err}");
@@ -505,7 +508,7 @@ fn cancelled_run_reports_only_completed_chunks_and_a_retry_is_clean() {
     // a fresh run after a cancelled one is bit-identical to a run that
     // was never cancelled — hits and counters.
     let mut retry_m = SearchMetrics::default();
-    let retry_hits = engine.search_metered(&genome, &guides, 3, &mut retry_m).unwrap();
+    let retry_hits = search(&deployment, &mut retry_m).unwrap();
     assert_eq!(retry_hits, clean_hits);
     assert_eq!(retry_m.counters, clean_m.counters);
 }

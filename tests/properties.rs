@@ -187,12 +187,13 @@ proptest! {
         pam in iupac_pam(),
         k in 0usize..4,
     ) {
-        use crispr_offtarget::engines::scan_genome;
+        use crispr_offtarget::engines::{run_scan, ScanDeployment};
         use crispr_offtarget::model::SearchMetrics;
         let g = Guide::new("g", spacer, pam).expect("non-empty spacer");
         let genome_a = Genome::from_seq(text_a);
         let genome_b = Genome::from_seq(text_b);
         let guides = vec![g];
+        let one = ScanDeployment::new(1);
         for engine in [
             &BitParallelEngine::new() as &dyn Engine,
             &BitParallelEngine::batched(),
@@ -203,8 +204,8 @@ proptest! {
         ] {
             let prepared = engine.prepare(&guides, k).unwrap();
             let mut m = SearchMetrics::default();
-            let reused_a = scan_genome(prepared.as_ref(), &genome_a, &mut m).unwrap();
-            let reused_b = scan_genome(prepared.as_ref(), &genome_b, &mut m).unwrap();
+            let reused_a = run_scan(prepared.as_ref(), (&genome_a).into(), &one, &mut m).unwrap();
+            let reused_b = run_scan(prepared.as_ref(), (&genome_b).into(), &one, &mut m).unwrap();
             prop_assert_eq!(&reused_a, &engine.search(&genome_a, &guides, k).unwrap());
             prop_assert_eq!(&reused_b, &engine.search(&genome_b, &guides, k).unwrap());
         }
@@ -265,20 +266,21 @@ proptest! {
         pam in iupac_pam(),
         k in 0usize..4,
     ) {
-        use crispr_offtarget::engines::scan_genome;
+        use crispr_offtarget::engines::{run_scan, ScanDeployment};
         use crispr_offtarget::model::SearchMetrics;
         let g = Guide::new("g", spacer, pam).expect("non-empty spacer");
         let genome_a = Genome::from_seq(text_a);
         let genome_b = Genome::from_seq(text_b);
         let guides = vec![g];
+        let one = ScanDeployment::new(1);
         let engine = BitParallelEngine::batched();
         let prepared = engine.prepare(&guides, k).unwrap();
         let mut m = SearchMetrics::default();
         // Interleave: a, b, then a again — the third scan must reproduce
         // the first even with b's slice in between.
-        let first_a = scan_genome(prepared.as_ref(), &genome_a, &mut m).unwrap();
-        let only_b = scan_genome(prepared.as_ref(), &genome_b, &mut m).unwrap();
-        let second_a = scan_genome(prepared.as_ref(), &genome_a, &mut m).unwrap();
+        let first_a = run_scan(prepared.as_ref(), (&genome_a).into(), &one, &mut m).unwrap();
+        let only_b = run_scan(prepared.as_ref(), (&genome_b).into(), &one, &mut m).unwrap();
+        let second_a = run_scan(prepared.as_ref(), (&genome_a).into(), &one, &mut m).unwrap();
         prop_assert_eq!(&first_a, &second_a);
         prop_assert_eq!(&first_a, &engine.search(&genome_a, &guides, k).unwrap());
         prop_assert_eq!(&only_b, &engine.search(&genome_b, &guides, k).unwrap());

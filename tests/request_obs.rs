@@ -153,6 +153,7 @@ fn sample(text: &str, series: &str) -> f64 {
 
 #[test]
 fn every_response_carries_an_id_and_errors_repeat_it_in_the_body() {
+    let _serial = scan_lock();
     let (server, addr) = start(ServeConfig::default());
 
     // A bare request gets a generated id.

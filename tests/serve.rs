@@ -2,6 +2,7 @@
 //! compatibility with the CLI's output, cache behavior, the 206
 //! partial-results path, and protocol robustness.
 
+use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
@@ -10,7 +11,7 @@ use crispr_offtarget::serve::{ServeConfig, Server};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Serializes every test that runs a scan: the failpoint registry is
 /// process-global, so an inject-window in one test must not overlap
@@ -296,4 +297,42 @@ fn healthz_reports_and_shutdown_drains() {
             s.read_to_end(&mut out).unwrap_or(0) == 0
         }
     );
+}
+
+/// `serve --index` scans the index in place; its answers must be the
+/// FASTA daemon's, byte for byte, whatever the scan width or budget.
+#[test]
+fn indexed_daemon_answers_byte_identically_to_the_genome_daemon() {
+    let _serial = scan_lock();
+    let (genome, guides) = workload();
+    let path =
+        std::env::temp_dir().join(format!("offtarget-serve-index-{}.idx", std::process::id()));
+    GenomeIndex::build(&genome, 8).expect("build index").write_to(&path).expect("write index");
+    let index = Arc::new(GenomeIndex::open(&path).expect("open index"));
+    let body = guides_body(&guides);
+    for scan_threads in [1, 2] {
+        let cfg = ServeConfig { scan_threads, ..ServeConfig::default() };
+        let direct = Server::start(genome.clone(), cfg.clone()).expect("start genome daemon");
+        let indexed =
+            Server::start_indexed(Arc::clone(&index), 0.0, cfg).expect("start index daemon");
+        for k in 0..=3 {
+            let target = format!("/search?k={k}&format=tsv");
+            let (status, headers, want) = request(direct.local_addr(), "POST", &target, &body);
+            assert_eq!(status, 200);
+            assert!(!headers.contains_key("x-offtarget-index"));
+            let (status, headers, got) = request(indexed.local_addr(), "POST", &target, &body);
+            assert_eq!(status, 200);
+            assert!(headers.get("x-offtarget-index").is_some_and(|v| v == "mmap" || v == "read"));
+            assert_eq!(
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&want),
+                "scan_threads={scan_threads} k={k}"
+            );
+        }
+        for server in [direct, indexed] {
+            server.shutdown();
+            server.join();
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
