@@ -44,6 +44,7 @@
 //! * `bench_serve --check BENCH_serve.json` — measure, compare against
 //!   the baseline, exit non-zero on regression.
 
+use crispr_core::Platform;
 use crispr_genome::synth::SynthSpec;
 use crispr_guides::{genset, io as guide_io, Guide, Pam};
 use crispr_model::json;
@@ -64,7 +65,7 @@ const GENOME_LEN: usize = 120_000;
 const GUIDES: usize = 4;
 const K: usize = 2;
 const SEED: u64 = 23;
-const ENGINE: &str = "cpu-dfa";
+const ENGINE: Platform = Platform::CpuDfa;
 /// Concurrent client threads, and requests each issues per profile.
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 8;
@@ -169,7 +170,7 @@ fn measure() -> (Profile, Profile) {
         workers: CLIENTS,
         // Cold sets must never collide in the cache across rounds.
         cache_capacity: 2 * CLIENTS * REQUESTS_PER_CLIENT,
-        default_engine: ENGINE.to_string(),
+        default_engine: ENGINE,
         ..ServeConfig::default()
     };
     let server = Server::start(genome, cfg).expect("start server");
@@ -212,7 +213,7 @@ fn measure_overload() -> OverloadProfile {
     let mut cfg = ServeConfig {
         workers: OVERLOAD_WORKERS,
         queue_depth: Some(OVERLOAD_QUEUE),
-        default_engine: ENGINE.to_string(),
+        default_engine: ENGINE,
         ..ServeConfig::default()
     };
     cfg.obs.access_log = Some(log_path.to_str().expect("utf-8 temp path").to_string());

@@ -1,9 +1,10 @@
 //! High-level off-target search API — one entry point over every engine
 //! and platform simulator in the workspace.
 //!
-//! * [`Platform`] — the ten execution targets (five measured CPU engines,
-//!   two baselines among them, and four modeled accelerators), mirroring
-//!   the paper's evaluation matrix.
+//! * [`Platform`] — the eleven execution targets (seven measured CPU
+//!   engines, two baselines among them, and four modeled accelerators),
+//!   mirroring the paper's evaluation matrix;
+//!   [`Platform::cpu_engine`] maps a measured one to its engine.
 //! * [`OffTargetSearch`] — a builder assembling genome × guides × budget ×
 //!   platform and producing a [`SearchReport`] of exact hits plus a
 //!   [`crispr_model::TimingBreakdown`] (wall-clock for CPU engines,

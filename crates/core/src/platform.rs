@@ -1,3 +1,7 @@
+use crispr_engines::{
+    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
+    ScalarEngine,
+};
 use std::fmt;
 
 /// An execution target for an off-target search — the paper's evaluation
@@ -17,10 +21,6 @@ pub enum Platform {
     /// The bit-parallel engine behind the shared multi-seed automaton
     /// (batched cascade, SIMD verify/prefilter kernels).
     CpuBitParallelBatched,
-    /// Cas-OFFinder's verifier behind the shared multi-seed automaton.
-    CpuCasOffinderBatched,
-    /// CasOT's verifier behind the shared multi-seed automaton.
-    CpuCasotBatched,
     /// Direct frontier simulation of the mismatch NFAs.
     CpuNfa,
     /// Ahead-of-time subset-constructed DFA scan.
@@ -37,14 +37,12 @@ pub enum Platform {
 
 impl Platform {
     /// Every platform, baselines and automata approaches alike.
-    pub const ALL: [Platform; 13] = [
+    pub const ALL: [Platform; 11] = [
         Platform::CpuScalar,
         Platform::CpuCasOffinder,
         Platform::CpuCasot,
         Platform::CpuBitParallel,
         Platform::CpuBitParallelBatched,
-        Platform::CpuCasOffinderBatched,
-        Platform::CpuCasotBatched,
         Platform::CpuNfa,
         Platform::CpuDfa,
         Platform::Ap,
@@ -72,8 +70,6 @@ impl Platform {
             Platform::CpuCasot => "cpu-casot",
             Platform::CpuBitParallel => "cpu-hyperscan",
             Platform::CpuBitParallelBatched => "cpu-hyperscan-batched",
-            Platform::CpuCasOffinderBatched => "cpu-cas-offinder-batched",
-            Platform::CpuCasotBatched => "cpu-casot-batched",
             Platform::CpuNfa => "cpu-nfa",
             Platform::CpuDfa => "cpu-dfa",
             Platform::Ap => "ap",
@@ -92,21 +88,22 @@ impl Platform {
         )
     }
 
-    /// Whether this platform runs the automata formulation (as opposed to
-    /// a direct-comparison baseline). The batched baselines keep their
-    /// serial classification: the shared seed automaton generates their
-    /// candidates, but the verifier — the thing being compared — is
-    /// still the baseline algorithm.
-    pub fn is_automata(self) -> bool {
-        !matches!(
-            self,
-            Platform::CpuScalar
-                | Platform::CpuCasOffinder
-                | Platform::CpuCasot
-                | Platform::CpuCasOffinderBatched
-                | Platform::CpuCasotBatched
-                | Platform::GpuCasOffinder
-        )
+    /// The CPU engine that runs this platform, or `None` for the modeled
+    /// accelerators. The one place a platform name becomes an engine: the
+    /// batch search and the serve daemon both resolve through it.
+    pub fn cpu_engine(self) -> Option<Box<dyn Engine>> {
+        Some(match self {
+            Platform::CpuScalar => Box::new(ScalarEngine::new()),
+            Platform::CpuCasOffinder => Box::new(CasOffinderCpuEngine::new()),
+            Platform::CpuCasot => Box::new(CasotEngine::new()),
+            Platform::CpuBitParallel => Box::new(BitParallelEngine::new()),
+            Platform::CpuBitParallelBatched => Box::new(BitParallelEngine::batched()),
+            Platform::CpuNfa => Box::new(NfaEngine::new()),
+            Platform::CpuDfa => Box::new(DfaEngine::new()),
+            Platform::Ap | Platform::Fpga | Platform::GpuInfant2 | Platform::GpuCasOffinder => {
+                return None
+            }
+        })
     }
 }
 
@@ -130,12 +127,13 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Platform::Ap.is_modeled() && Platform::Ap.is_automata());
+        assert!(Platform::Ap.is_modeled());
         assert!(!Platform::CpuBitParallel.is_modeled());
-        assert!(Platform::CpuBitParallel.is_automata());
-        assert!(!Platform::CpuCasot.is_automata());
         assert!(Platform::GpuCasOffinder.is_modeled());
-        assert!(!Platform::GpuCasOffinder.is_automata());
+        // Exactly the measured platforms have a CPU engine.
+        for p in Platform::ALL {
+            assert_eq!(p.cpu_engine().is_some(), !p.is_modeled(), "{p}");
+        }
     }
 
     #[test]

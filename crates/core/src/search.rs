@@ -1,7 +1,6 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
-    run_search, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine,
-    Engine, EngineError, NfaEngine, Reference, ScalarEngine, ScanDeployment, SearchError,
+    run_search, CancelToken, Engine, EngineError, Reference, ScanDeployment, SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
@@ -168,15 +167,6 @@ impl OffTargetSearch {
         let modeled_genome =
             if self.platform.is_modeled() { Some(self.materialized()?) } else { None };
         let (hits, mut metrics, partial) = match self.platform {
-            Platform::CpuScalar => self.run_cpu(&ScalarEngine::new())?,
-            Platform::CpuCasOffinder => self.run_cpu(&CasOffinderCpuEngine::new())?,
-            Platform::CpuCasot => self.run_cpu(&CasotEngine::new())?,
-            Platform::CpuBitParallel => self.run_cpu(&BitParallelEngine::new())?,
-            Platform::CpuBitParallelBatched => self.run_cpu(&BitParallelEngine::batched())?,
-            Platform::CpuCasOffinderBatched => self.run_cpu(&CasOffinderCpuEngine::batched())?,
-            Platform::CpuCasotBatched => self.run_cpu(&CasotEngine::batched())?,
-            Platform::CpuNfa => self.run_cpu(&NfaEngine::new())?,
-            Platform::CpuDfa => self.run_cpu(&DfaEngine::new())?,
             Platform::Ap => {
                 let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
                 let report = crispr_ap::ApSearch::new().run(genome, &self.guides, self.k)?;
@@ -222,6 +212,9 @@ impl OffTargetSearch {
                 m.set_gauge("kernel_bytes", report.kernel_bytes);
                 (report.hits, m, None)
             }
+            cpu => self.run_cpu(
+                cpu.cpu_engine().expect("every measured platform has a CPU engine").as_ref(),
+            )?,
         };
         metrics.counters.degraded_paths += self.input_degradations;
         if let Some((_, unpack_s)) = &modeled_genome {

@@ -24,7 +24,6 @@
 use crate::degrade::guarded_accel;
 use crate::engine::AnchorGroup;
 use crate::engine::{patterns, validate_guides, Engine, PreparedSearch};
-use crate::multiseed::{MultiSeedPrepared, MultiSeedScan};
 use crate::prefilter::anchor_plan;
 use crate::simd::SimdBackend;
 use crate::EngineError;
@@ -39,7 +38,6 @@ pub struct CasotEngine {
     seed_len: usize,
     seed_mismatch_limit: Option<usize>,
     prefilter: bool,
-    batched: bool,
     simd: Option<SimdBackend>,
 }
 
@@ -47,13 +45,7 @@ impl Default for CasotEngine {
     fn default() -> CasotEngine {
         // CasOT's default: 12-base PAM-proximal seed, no extra seed limit
         // (so results equal the other engines'; a limit tightens them).
-        CasotEngine {
-            seed_len: 12,
-            seed_mismatch_limit: None,
-            prefilter: true,
-            batched: false,
-            simd: None,
-        }
+        CasotEngine { seed_len: 12, seed_mismatch_limit: None, prefilter: true, simd: None }
     }
 }
 
@@ -83,15 +75,6 @@ impl CasotEngine {
     pub fn without_prefilter(mut self) -> CasotEngine {
         self.prefilter = false;
         self
-    }
-
-    /// Creates the engine in batched multi-guide mode: where the guide
-    /// set admits it (and no seed mismatch limit tightens the output),
-    /// `prepare` compiles the shared seed automaton of
-    /// [`crate::multiseed`] so one pass serves every guide; otherwise the
-    /// per-guide seed-and-compare path runs unchanged.
-    pub fn batched() -> CasotEngine {
-        CasotEngine { batched: true, ..CasotEngine::default() }
     }
 
     /// Forces the SIMD backend the prepared kernels dispatch to; the
@@ -280,28 +263,14 @@ impl PreparedSearch for CasotPrepared {
 
 impl Engine for CasotEngine {
     fn name(&self) -> &'static str {
-        if self.batched {
-            "casot-batched"
-        } else {
-            "casot"
-        }
+        "casot"
     }
 
     fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
         let site_len = validate_guides(guides, k)?;
         let pattern_list = patterns(guides);
-        // A seed mismatch limit tightens the hit set; the shared automaton
-        // computes the engine-common semantics only, so it must not engage.
         let backend = crate::simd::resolve(self.simd);
         let mut degraded = 0;
-        if self.batched && self.seed_mismatch_limit.is_none() {
-            let scan = guarded_accel("multiseed.build", &mut degraded, || {
-                MultiSeedScan::build_with(&pattern_list, site_len, k, backend)
-            });
-            if let Some(scan) = scan {
-                return Ok(Box::new(MultiSeedPrepared::new(scan)));
-            }
-        }
         let plan = if self.prefilter {
             guarded_accel("prefilter.build", &mut degraded, || anchor_plan(&pattern_list, site_len))
         } else {
@@ -342,31 +311,6 @@ mod tests {
     #[test]
     fn unfiltered_path_matches_oracle() {
         assert_engine_correct(&CasotEngine::new().without_prefilter(), 68, 3);
-    }
-
-    #[test]
-    fn batched_path_matches_oracle() {
-        assert_engine_correct(&CasotEngine::batched(), 69, 0);
-        assert_engine_correct(&CasotEngine::batched(), 70, 3);
-        assert_eq!(CasotEngine::batched().name(), "casot-batched");
-    }
-
-    #[test]
-    fn seed_limit_disables_batching() {
-        // A seed mismatch limit changes the output contract, which the
-        // shared automaton does not model — the per-guide path must run.
-        let genome = crispr_genome::synth::SynthSpec::new(20_000).seed(71).generate();
-        let guides = genset::random_guides(2, 20, &Pam::ngg(), 72);
-        let (genome, _) = genset::plant_offtargets(genome, &guides, &PlantPlan::uniform(3, 3), 73);
-        let mut m = crispr_model::SearchMetrics::default();
-        let limited = CasotEngine { batched: true, ..CasotEngine::default() }
-            .with_seed_mismatch_limit(0)
-            .search_metered(&genome, &guides, 3, &mut m)
-            .unwrap();
-        assert_eq!(m.counters.multiseed_candidates, 0);
-        let reference =
-            CasotEngine::new().with_seed_mismatch_limit(0).search(&genome, &guides, 3).unwrap();
-        assert_eq!(limited, reference);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! Every engine returns the same normalized [`crispr_guides::Hit`] set on the same
 //! inputs; the integration suite enforces this pairwise.
 //!
+//! One engine has a batched form: [`BitParallelEngine::batched`] compiles
+//! the whole guide set into the shared seed automaton of [`multiseed`],
+//! so one pass serves every guide, and falls back to the per-guide
+//! bit-parallel path when the set does not admit it. The baselines stay
+//! per-guide, in the form the paper compares against.
+//!
 //! Searches are split into a compile phase and a scan phase:
 //! [`Engine::prepare`] lowers guides × budget once into a reusable
 //! [`PreparedSearch`], whose [`PreparedSearch::scan_slice`] (or, for an

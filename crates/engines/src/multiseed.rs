@@ -127,8 +127,8 @@ impl RecentWindows {
 
 /// The compiled batched deployment for one pattern set: the shared seed
 /// automaton, the anchor groups it intersects with, and one packed
-/// verifier per pattern. Built once, scans any number of slices; shared
-/// across every `batched()` engine.
+/// verifier per pattern. Built once, scans any number of slices; the
+/// scan behind [`crate::BitParallelEngine::batched`].
 #[derive(Debug)]
 pub struct MultiSeedScan {
     /// One table per distinct fragment length (at most two for evenly
@@ -588,10 +588,9 @@ impl MultiSeedScan {
     }
 }
 
-/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — what the
-/// `batched()` engines return from `prepare`, shared verbatim across all
-/// of them (batching erases the per-engine scan differences; only the
-/// compile-time fallback paths differ).
+/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — what
+/// [`crate::BitParallelEngine::batched`] returns from `prepare` when the
+/// guide set admits the shared seed automaton.
 #[derive(Debug)]
 pub(crate) struct MultiSeedPrepared {
     scan: MultiSeedScan,

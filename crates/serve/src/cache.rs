@@ -3,6 +3,7 @@
 //! keeps the most recently used ones and lets every worker scan through
 //! a shared [`PreparedSearch`] without recompiling.
 
+use crispr_core::Platform;
 use crispr_engines::PreparedSearch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,7 +26,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 pub(crate) struct CacheKey {
     pub guides_hash: u64,
     pub k: usize,
-    pub engine: String,
+    pub engine: Platform,
 }
 
 /// One cached compile: the reusable searcher plus what compiling it
@@ -110,7 +111,7 @@ mod tests {
     }
 
     fn key(n: u64) -> CacheKey {
-        CacheKey { guides_hash: n, k: 3, engine: "cpu-scalar".to_string() }
+        CacheKey { guides_hash: n, k: 3, engine: Platform::CpuScalar }
     }
 
     #[test]
@@ -138,9 +139,9 @@ mod tests {
 
     #[test]
     fn keys_differ_by_budget_and_engine() {
-        let a = CacheKey { guides_hash: 9, k: 3, engine: "cpu-scalar".into() };
-        let b = CacheKey { guides_hash: 9, k: 4, engine: "cpu-scalar".into() };
-        let c = CacheKey { guides_hash: 9, k: 3, engine: "cpu-hyperscan".into() };
+        let a = CacheKey { guides_hash: 9, k: 3, engine: Platform::CpuScalar };
+        let b = CacheKey { guides_hash: 9, k: 4, engine: Platform::CpuScalar };
+        let c = CacheKey { guides_hash: 9, k: 3, engine: Platform::CpuBitParallel };
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

@@ -55,4 +55,4 @@ mod obs;
 mod server;
 
 pub use obs::ObsConfig;
-pub use server::{engine_names, ServeConfig, Server};
+pub use server::{parse_engine, ServeConfig, Server};

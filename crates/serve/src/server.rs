@@ -4,15 +4,15 @@
 use crate::cache::{fnv1a, CacheKey, PreparedCache, PreparedEntry};
 use crate::http::{parse_request, ParseError, Request, Response};
 use crate::obs::{sanitize_client_id, Obs, ObsConfig, RequestCtx};
+use crispr_core::Platform;
 use crispr_engines::{
-    run_scan, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
-    EngineError, NfaEngine, PreparedSearch, Reference, ScalarEngine, ScanDeployment, SearchError,
-    DEFAULT_CHUNK_RETRIES,
+    run_scan, CancelToken, Reference, ScanDeployment, SearchError, DEFAULT_CHUNK_RETRIES,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
 use crispr_guides::{io as guide_io, Guide, Hit};
 use crispr_model::json::escape;
+use crispr_model::names::unknown_value_message;
 use crispr_model::SearchMetrics;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -22,42 +22,15 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The engines a query may name — the measured CPU platforms. (Modeled
-/// accelerators answer timing questions, not hit queries, and stay in
-/// the batch CLI.)
-pub fn engine_names() -> &'static [&'static str] {
-    &[
-        "cpu-scalar",
-        "cpu-cas-offinder",
-        "cpu-cas-offinder-batched",
-        "cpu-casot",
-        "cpu-casot-batched",
-        "cpu-hyperscan",
-        "cpu-hyperscan-batched",
-        "cpu-nfa",
-        "cpu-dfa",
-    ]
-}
-
-/// Compiles `guides` at budget `k` for the named engine, or `None` for
-/// an unknown name.
-#[allow(clippy::type_complexity)]
-fn prepare_for(
-    engine: &str,
-    guides: &[Guide],
-    k: usize,
-) -> Option<Result<Box<dyn PreparedSearch>, EngineError>> {
-    Some(match engine {
-        "cpu-scalar" => ScalarEngine::new().prepare(guides, k),
-        "cpu-cas-offinder" => CasOffinderCpuEngine::new().prepare(guides, k),
-        "cpu-cas-offinder-batched" => CasOffinderCpuEngine::batched().prepare(guides, k),
-        "cpu-casot" => CasotEngine::new().prepare(guides, k),
-        "cpu-casot-batched" => CasotEngine::batched().prepare(guides, k),
-        "cpu-hyperscan" => BitParallelEngine::new().prepare(guides, k),
-        "cpu-hyperscan-batched" => BitParallelEngine::batched().prepare(guides, k),
-        "cpu-nfa" => NfaEngine::new().prepare(guides, k),
-        "cpu-dfa" => DfaEngine::new().prepare(guides, k),
-        _ => return None,
+/// Resolves an `engine=` name to its platform, or the standard
+/// unknown-value message listing the valid names. A query may name the
+/// measured CPU platforms only: modeled accelerators answer timing
+/// questions, not hit queries, and stay in the batch CLI.
+pub fn parse_engine(name: &str) -> Result<Platform, String> {
+    let servable = || Platform::ALL.into_iter().filter(|p| !p.is_modeled());
+    servable().find(|p| p.name() == name).ok_or_else(|| {
+        let valid: Vec<&str> = servable().map(Platform::name).collect();
+        unknown_value_message("engine", name, &valid)
     })
 }
 
@@ -78,8 +51,9 @@ pub struct ServeConfig {
     /// Whether `POST /search?inject=…` may arm failpoints. Off by
     /// default: fault injection is a test surface, not a public API.
     pub allow_inject: bool,
-    /// Engine used when a query names none (see [`engine_names`]).
-    pub default_engine: String,
+    /// Engine used when a query names none (a CPU platform; see
+    /// [`parse_engine`]).
+    pub default_engine: Platform,
     /// Admission-queue depth: connections accepted but not yet claimed
     /// by a worker. When the queue is full, new connections are shed
     /// immediately with `503 + Retry-After` — never accepted-then-
@@ -113,7 +87,7 @@ impl Default for ServeConfig {
             cache_capacity: 8,
             retry_limit: DEFAULT_CHUNK_RETRIES,
             allow_inject: false,
-            default_engine: "cpu-hyperscan".to_string(),
+            default_engine: Platform::CpuBitParallel,
             queue_depth: None,
             max_deadline: Duration::from_secs(30),
             read_timeout: Duration::from_secs(30),
@@ -630,9 +604,13 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         Ok(k) => k,
         Err(e) => return Response::text(400, format!("bad k: {e}")),
     };
-    let engine = request.query_param("engine").unwrap_or(&shared.cfg.default_engine).to_string();
     ctx.k = k as i64;
-    ctx.engine = engine.clone();
+    let name = request.query_param("engine").unwrap_or(shared.cfg.default_engine.name());
+    ctx.engine = name.to_string();
+    let engine = match parse_engine(name) {
+        Ok(engine) => engine,
+        Err(message) => return Response::text(400, message),
+    };
     let format = request.query_param("format").unwrap_or("tsv");
     if format != "tsv" && format != "json" {
         return Response::text(400, format!("unknown format {format:?} (tsv|json)"));
@@ -663,26 +641,17 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
     // in the request body (comments, blank lines) cannot split the cache.
     let mut canonical = Vec::new();
     let _ = guide_io::write_guides(&mut canonical, &guides);
-    let key = CacheKey { guides_hash: fnv1a(&canonical), k, engine: engine.clone() };
+    let key = CacheKey { guides_hash: fnv1a(&canonical), k, engine };
     ctx.guides_hash = Some(key.guides_hash);
 
     let (entry, cache_hit) = match shared.cache.get(&key) {
         Some(entry) => (entry, true),
         None => {
             let compile_start = Instant::now();
-            let prepared = match prepare_for(&engine, &guides, k) {
-                Some(Ok(prepared)) => prepared,
-                Some(Err(e)) => return Response::text(400, format!("cannot compile guides: {e}")),
-                None => {
-                    return Response::text(
-                        400,
-                        crispr_model::names::unknown_value_message(
-                            "engine",
-                            &engine,
-                            engine_names(),
-                        ),
-                    )
-                }
+            let cpu = engine.cpu_engine().expect("parse_engine admits CPU platforms only");
+            let prepared = match cpu.prepare(&guides, k) {
+                Ok(prepared) => prepared,
+                Err(e) => return Response::text(400, format!("cannot compile guides: {e}")),
             };
             let entry = Arc::new(PreparedEntry {
                 prepared,
@@ -793,7 +762,7 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
             &failures,
             chunks_total,
             k,
-            &engine,
+            engine.name(),
             &metrics,
             partial,
         ),

@@ -87,8 +87,8 @@ const USAGE: &str = "usage:
                    [--slow-ms MS [--slow-trace-dir DIR] [--slow-trace-max N]]
   offtarget anml   --guides guides.txt [-k K] [-o out.anml]
 
-platforms: cpu-scalar cpu-cas-offinder cpu-casot cpu-hyperscan cpu-nfa cpu-dfa
-           cpu-hyperscan-batched cpu-cas-offinder-batched cpu-casot-batched
+platforms: cpu-scalar cpu-cas-offinder cpu-casot cpu-hyperscan
+           cpu-hyperscan-batched cpu-nfa cpu-dfa
            ap fpga gpu-infant2 gpu-cas-offinder
 SIMD: the CPU verify/prefilter kernels auto-dispatch AVX2/NEON when the
 host supports them; OFFTARGET_SIMD={auto,avx2,neon,portable,scalar}
@@ -683,7 +683,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
 /// `offtarget serve`: loads the genome once, then blocks inside the
 /// daemon until a `POST /shutdown` drains it.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use crispr_offtarget::serve::{engine_names, ServeConfig, Server};
+    use crispr_offtarget::serve::{parse_engine, ServeConfig, Server};
     let flags = parse_flags(args, SERVE_FLAGS)?;
     if flags.contains_key("genome") && flags.contains_key("index") {
         return Err("--genome and --index are mutually exclusive".into());
@@ -731,12 +731,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     cfg.obs.slow_trace_max = parse(&flags, "slow-trace-max", cfg.obs.slow_trace_max)?;
     if let Some(engine) = flags.get("platform") {
-        if !engine_names().contains(&engine.as_str()) {
-            // Serve answers hit queries with the measured CPU engines
-            // only; the modeled accelerators stay in the batch CLI.
-            return Err(unknown_value_message("serve engine", engine, engine_names()).into());
-        }
-        cfg.default_engine = engine.clone();
+        cfg.default_engine = parse_engine(engine).map_err(|e| format!("--platform: {e}"))?;
     }
     let server = match flags.get("index") {
         Some(path) => {
@@ -840,11 +835,11 @@ mod tests {
 
     #[test]
     fn unknown_platform_lists_valid_set_and_hints() {
-        // A near-miss of a batched/SIMD variant name suggests it.
+        // A near-miss of the batched variant name suggests it.
         let err = parse_platform("cpu-hyperscan-batch").unwrap_err().to_string();
         assert!(err.contains("unknown platform \"cpu-hyperscan-batch\""), "{err}");
         assert!(err.contains("did you mean \"cpu-hyperscan-batched\"?"), "{err}");
-        // The error lists every valid platform name, batched variants
+        // The error lists every valid platform name, the batched variant
         // included.
         for p in Platform::ALL {
             assert!(err.contains(p.name()), "{} missing from: {err}", p.name());
@@ -853,16 +848,26 @@ mod tests {
         let err = parse_platform("tpu").unwrap_err().to_string();
         assert!(err.contains("one of:"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
-        // The batched names parse to the batched platforms.
+        // The batched name parses to the batched platform.
         assert_eq!(
             parse_platform("cpu-hyperscan-batched").unwrap(),
             Platform::CpuBitParallelBatched
         );
-        assert_eq!(
-            parse_platform("cpu-cas-offinder-batched").unwrap(),
-            Platform::CpuCasOffinderBatched
-        );
-        assert_eq!(parse_platform("cpu-casot-batched").unwrap(), Platform::CpuCasotBatched);
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_platforms() {
+        // The `platforms:` line and its indented continuations, in
+        // `Platform::ALL` order.
+        let (_, rest) = USAGE.split_once("\nplatforms:").expect("USAGE has a platforms: section");
+        let mut lines = rest.lines();
+        let first = lines.next().unwrap_or_default();
+        let listed: Vec<&str> = std::iter::once(first)
+            .chain(lines.take_while(|line| line.starts_with(' ')))
+            .flat_map(str::split_whitespace)
+            .collect();
+        let all: Vec<&str> = Platform::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(listed, all);
     }
 
     #[test]

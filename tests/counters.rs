@@ -8,9 +8,7 @@
 //! multiseed meters. The parallel deployment must neither copy genome
 //! bytes nor change any work counter relative to the serial scan.
 
-use crispr_offtarget::engines::{
-    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ScanDeployment,
-};
+use crispr_offtarget::engines::{run_search, BitParallelEngine, Engine, ScanDeployment};
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::Genome;
 use crispr_offtarget::guides::genset::{self, PlantPlan};
@@ -47,58 +45,34 @@ fn run_on(
 #[test]
 fn batched_counters_are_consistent_with_per_guide() {
     let (genome, guides) = workload();
-    for (per_guide, batched) in [
-        (
-            Box::new(BitParallelEngine::new()) as Box<dyn Engine>,
-            Box::new(BitParallelEngine::batched()) as Box<dyn Engine>,
-        ),
-        (Box::new(CasOffinderCpuEngine::new()), Box::new(CasOffinderCpuEngine::batched())),
-    ] {
-        let (hits_pg, m_pg) = run(per_guide.as_ref(), &genome, &guides);
-        let (hits_b, m_b) = run(batched.as_ref(), &genome, &guides);
-        let label = batched.name();
-        assert_eq!(hits_b, hits_pg, "{label}: hit sets must be identical");
-        // Both paths enumerate every window of every long-enough contig.
-        assert_eq!(m_b.counters.windows_scanned, m_pg.counters.windows_scanned, "{label}");
-        // `candidates_verified` counts within-budget verifications — the
-        // hit count — on both paths, so it is exactly equal.
-        assert_eq!(m_b.counters.candidates_verified, m_pg.counters.candidates_verified, "{label}");
-        assert_eq!(m_b.counters.candidates_verified, m_b.counters.raw_hits, "{label}");
-        // The seed automaton only ever *removes* (window, pattern) pairs
-        // from the anchor path's work, never adds.
-        assert!(
-            m_b.counters.pam_anchors_tested <= m_pg.counters.pam_anchors_tested,
-            "{label}: batched {} > per-guide {}",
-            m_b.counters.pam_anchors_tested,
-            m_pg.counters.pam_anchors_tested
-        );
-        assert!(m_b.counters.pam_anchors_tested > 0, "{label}");
-        assert!(m_b.counters.early_exits <= m_pg.counters.early_exits, "{label}");
-        // Multiseed meters are exclusive to the batched path.
-        assert!(m_b.counters.multiseed_candidates >= m_b.counters.multiseed_positions, "{label}");
-        assert!(m_b.counters.multiseed_positions > 0, "{label}");
-        assert_eq!(m_pg.counters.multiseed_candidates, 0, "{label}");
-        assert_eq!(m_pg.counters.multiseed_positions, 0, "{label}");
-        // Derived gauge and compile-time gauges surface on the batched run.
-        assert!(m_b.gauge("guides_per_candidate").expect("gauge present") >= 1.0, "{label}");
-        assert!(m_b.gauge("seed_automaton_states").expect("gauge present") >= 1.0, "{label}");
-        assert_eq!(m_pg.gauge("guides_per_candidate"), None, "{label}");
-    }
-}
-
-#[test]
-fn casot_batched_matches_casot_hits_with_multiseed_meters() {
-    // CasOT's per-guide path has bespoke counter semantics (it meters
-    // seed_survivors, not candidates_verified), so for it only the hit
-    // set and the batched meters are comparable.
-    let (genome, guides) = workload();
-    let (hits_pg, m_pg) = run(&CasotEngine::new(), &genome, &guides);
-    let (hits_b, m_b) = run(&CasotEngine::batched(), &genome, &guides);
-    assert_eq!(hits_b, hits_pg);
+    let (hits_pg, m_pg) = run(&BitParallelEngine::new(), &genome, &guides);
+    let (hits_b, m_b) = run(&BitParallelEngine::batched(), &genome, &guides);
+    assert_eq!(hits_b, hits_pg, "hit sets must be identical");
+    // Both paths enumerate every window of every long-enough contig.
     assert_eq!(m_b.counters.windows_scanned, m_pg.counters.windows_scanned);
+    // `candidates_verified` counts within-budget verifications — the
+    // hit count — on both paths, so it is exactly equal.
+    assert_eq!(m_b.counters.candidates_verified, m_pg.counters.candidates_verified);
+    assert_eq!(m_b.counters.candidates_verified, m_b.counters.raw_hits);
+    // The seed automaton only ever *removes* (window, pattern) pairs
+    // from the anchor path's work, never adds.
+    assert!(
+        m_b.counters.pam_anchors_tested <= m_pg.counters.pam_anchors_tested,
+        "batched {} > per-guide {}",
+        m_b.counters.pam_anchors_tested,
+        m_pg.counters.pam_anchors_tested
+    );
+    assert!(m_b.counters.pam_anchors_tested > 0);
+    assert!(m_b.counters.early_exits <= m_pg.counters.early_exits);
+    // Multiseed meters are exclusive to the batched path.
+    assert!(m_b.counters.multiseed_candidates >= m_b.counters.multiseed_positions);
     assert!(m_b.counters.multiseed_positions > 0);
-    assert_eq!(m_b.counters.seed_survivors, 0, "batched path does not use CasOT's seed split");
-    assert!(m_pg.counters.seed_survivors > 0);
+    assert_eq!(m_pg.counters.multiseed_candidates, 0);
+    assert_eq!(m_pg.counters.multiseed_positions, 0);
+    // Derived gauge and compile-time gauges surface on the batched run.
+    assert!(m_b.gauge("guides_per_candidate").expect("gauge present") >= 1.0);
+    assert!(m_b.gauge("seed_automaton_states").expect("gauge present") >= 1.0);
+    assert_eq!(m_pg.gauge("guides_per_candidate"), None);
 }
 
 #[test]

@@ -235,16 +235,14 @@ mod differential {
             ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
             ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
             ("cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::without_prefilter())),
-            ("cas-offinder-batched", Box::new(CasOffinderCpuEngine::batched())),
             ("casot", Box::new(CasotEngine::new())),
             ("casot-nofilter", Box::new(CasotEngine::new().without_prefilter())),
-            ("casot-batched", Box::new(CasotEngine::batched())),
             ("nfa", Box::new(NfaEngine::new())),
             ("pigeonhole", Box::new(PigeonholeEngine::new())),
             ("parallel-batched", Deployed::new(BitParallelEngine::batched(), 4, None)),
             (
                 "parallel-batched-chunk-minus-1",
-                Deployed::new(CasOffinderCpuEngine::batched(), 3, Some(site_len - 1)),
+                Deployed::new(BitParallelEngine::batched(), 3, Some(site_len - 1)),
             ),
             (
                 "parallel-batched-chunk-plus-1",

@@ -85,9 +85,7 @@ fn indexed_scan_is_bit_identical_across_engines() {
         ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
         ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
         ("cas-offinder-unfiltered", Box::new(CasOffinderCpuEngine::without_prefilter())),
-        ("cas-offinder-batched", Box::new(CasOffinderCpuEngine::batched())),
         ("casot", Box::new(CasotEngine::new())),
-        ("casot-batched", Box::new(CasotEngine::batched())),
     ];
     for (name, engine) in engines {
         let mut direct_m = SearchMetrics::default();

@@ -2,11 +2,12 @@
 //! compatibility with the CLI's output, cache behavior, the 206
 //! partial-results path, and protocol robustness.
 
+use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
-use crispr_offtarget::guides::{io as guide_io, Guide, Pam};
+use crispr_offtarget::guides::{io as guide_io, Guide, Hit, Pam};
 use crispr_offtarget::serve::{ServeConfig, Server};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -33,6 +34,22 @@ fn guides_body(guides: &[Guide]) -> Vec<u8> {
     let mut body = Vec::new();
     guide_io::write_guides(&mut body, guides).expect("serialize guides");
     body
+}
+
+/// The CLI's TSV rendering of `hits`.
+fn tsv(genome: &Genome, guides: &[Guide], hits: &[Hit]) -> Vec<u8> {
+    let mut out = String::from("#guide\tcontig\tpos\tstrand\tmismatches\n");
+    for hit in hits {
+        out.push_str(&format!(
+            "{}\t{}\t{}\t{}\t{}\n",
+            guides[hit.guide as usize].id(),
+            genome.contigs()[hit.contig as usize].name(),
+            hit.pos,
+            hit.strand,
+            hit.mismatches
+        ));
+    }
+    out.into_bytes()
 }
 
 /// One `Connection: close` round trip; returns (status, headers, body).
@@ -108,7 +125,7 @@ fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
     let cli_tsv = std::fs::read(&hits_path).expect("CLI hits");
     assert!(cli_tsv.len() > 40, "workload must produce hits");
 
-    let server = Server::start(genome, ServeConfig::default()).expect("start server");
+    let server = Server::start(genome.clone(), ServeConfig::default()).expect("start server");
     let addr = server.local_addr();
     let body = guides_body(&guides);
 
@@ -128,6 +145,23 @@ fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
             assert!(headers.contains_key("x-offtarget-cache"));
         }
     });
+
+    // Every servable platform answers exactly what the library runs for
+    // it: serve and the batch search resolve names through one table.
+    let search = OffTargetSearch::new(genome.clone()).guides(guides.clone()).max_mismatches(3);
+    let default_report = search.clone().run().expect("default search");
+    assert_eq!(tsv(&genome, &guides, default_report.hits()), cli_tsv);
+    for platform in Platform::ALL.into_iter().filter(|p| !p.is_modeled()) {
+        let report = search.clone().platform(platform).run().expect("library search");
+        let (status, _, served) =
+            request(addr, "POST", &format!("/search?k=3&engine={platform}"), &body);
+        assert_eq!(status, 200, "{platform}: {}", String::from_utf8_lossy(&served));
+        assert_eq!(
+            String::from_utf8_lossy(&served),
+            String::from_utf8_lossy(&tsv(&genome, &guides, report.hits())),
+            "{platform}"
+        );
+    }
 
     server.shutdown();
     server.join();
@@ -243,13 +277,21 @@ fn malformed_requests_get_4xx_not_a_crash() {
     assert_eq!(status, 400);
     let resp = String::from_utf8_lossy(&resp);
     assert!(resp.contains("one of:"), "unknown engine should list the valid set: {resp}");
-    assert!(resp.contains("cpu-hyperscan-batched"), "batched variants should be listed: {resp}");
-    // A near-miss of a batched variant gets a did-you-mean hint.
-    let (status, _, resp) = request(addr, "POST", "/search?engine=cpu-casot-batch", &body);
+    assert!(resp.contains("cpu-hyperscan-batched"), "the batched variant should be listed: {resp}");
+    // A near-miss of the batched variant gets a did-you-mean hint.
+    let (status, _, resp) = request(addr, "POST", "/search?engine=cpu-hyperscan-batch", &body);
     assert_eq!(status, 400);
     let resp = String::from_utf8_lossy(&resp);
-    assert!(resp.contains("did you mean \"cpu-casot-batched\"?"), "{resp}");
-    // The batched engines themselves are servable.
+    assert!(resp.contains("did you mean \"cpu-hyperscan-batched\"?"), "{resp}");
+    // A retired batched twin is unknown, answered with the valid set.
+    let (status, _, resp) = request(addr, "POST", "/search?engine=cpu-casot-batched", &body);
+    assert_eq!(status, 400);
+    let resp = String::from_utf8_lossy(&resp);
+    assert!(resp.contains("cpu-hyperscan-batched"), "{resp}");
+    // Modeled accelerators are not servable.
+    let (status, _, _) = request(addr, "POST", "/search?engine=ap", &body);
+    assert_eq!(status, 400);
+    // The batched engine itself is servable.
     let (status, _, _) = request(addr, "POST", "/search?engine=cpu-hyperscan-batched&k=2", &body);
     assert_eq!(status, 200);
     let (status, _, _) = request(addr, "POST", "/search?format=xml", &body);
