@@ -20,7 +20,7 @@ pub struct OffTargetSearch {
     platform: Platform,
     deployment: ScanDeployment,
     input_degradations: u64,
-    index_load_s: f64,
+    load_s: Option<f64>,
 }
 
 impl OffTargetSearch {
@@ -47,7 +47,7 @@ impl OffTargetSearch {
             platform: Platform::CpuBitParallel,
             deployment: ScanDeployment::new(1),
             input_degradations: 0,
-            index_load_s: 0.0,
+            load_s: None,
         }
     }
 
@@ -60,11 +60,13 @@ impl OffTargetSearch {
         self
     }
 
-    /// Records how long opening and validating the index file took (the
-    /// caller holds the timer; the open happens before this builder
-    /// exists), surfaced as the `index_load_s` gauge.
-    pub fn index_load_seconds(mut self, seconds: f64) -> OffTargetSearch {
-        self.index_load_s = seconds;
+    /// Records how long loading the reference took (the caller holds the
+    /// timer; the load happens before this builder exists), surfaced as
+    /// the `index_load_s` gauge for an index (open and validate) and the
+    /// `input_parse_s` gauge for a genome (FASTA read and parse). A genome
+    /// without a recorded load reports no `input_parse_s`.
+    pub fn load_seconds(mut self, seconds: f64) -> OffTargetSearch {
+        self.load_s = Some(seconds);
         self
     }
 
@@ -220,12 +222,19 @@ impl OffTargetSearch {
         if let Some((_, unpack_s)) = &modeled_genome {
             metrics.phases.genome_load_s += unpack_s;
         }
-        if let Reference::Index(index) = &self.reference {
-            metrics.set_gauge("index_cache", 1.0);
-            metrics.set_gauge("index_mmap", if index.mapped() { 1.0 } else { 0.0 });
-            metrics.set_gauge("index_load_s", self.index_load_s);
-            if let Some(shard) = self.deployment.chunk_len {
-                metrics.set_gauge("index_shard_len", shard as f64);
+        match &self.reference {
+            Reference::Index(index) => {
+                metrics.set_gauge("index_cache", 1.0);
+                metrics.set_gauge("index_mmap", if index.mapped() { 1.0 } else { 0.0 });
+                metrics.set_gauge("index_load_s", self.load_s.unwrap_or(0.0));
+                if let Some(shard) = self.deployment.chunk_len {
+                    metrics.set_gauge("index_shard_len", shard as f64);
+                }
+            }
+            Reference::Genome(_) => {
+                if let Some(seconds) = self.load_s {
+                    metrics.set_gauge("input_parse_s", seconds);
+                }
             }
         }
         let report = SearchReport::new(

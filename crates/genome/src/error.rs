@@ -8,7 +8,9 @@ pub enum GenomeError {
     InvalidBase {
         /// The offending byte.
         byte: u8,
-        /// Byte offset where it was found.
+        /// 0-based byte offset of the offending byte in the parsed input
+        /// (the whole FASTA image for the FASTA readers, headers and line
+        /// endings included).
         offset: usize,
     },
     /// A FASTA record was structurally malformed (e.g. sequence data before

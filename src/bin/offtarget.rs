@@ -453,6 +453,15 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     if let Some(spec) = flags.get("inject") {
         crispr_offtarget::failpoint::configure(spec).map_err(|e| format!("--inject: {e}"))?;
     }
+    // The trace session opens before any input is read, so the timeline
+    // shows the FASTA parse or index open next to the search itself. It
+    // and the live progress reporter below default off; with neither,
+    // the instrumentation in the pipeline is one atomic load per site.
+    let session = flags.get("trace").map(|_| {
+        let session = trace::TraceSession::start();
+        trace::name_thread("main");
+        session
+    });
     let guides = load_guides(get(&flags, "guides")?)?;
     let k = parse(&flags, "k", 3usize)?;
     let platform =
@@ -474,16 +483,17 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     if flags.contains_key("genome") && flags.contains_key("index") {
         return Err("--genome and --index are mutually exclusive".into());
     }
+    // One timer covers either load: it becomes `index_load_s` or
+    // `input_parse_s`.
+    let load_start = Instant::now();
     let (search, contig_names, total_bases) = match flags.get("index") {
         Some(path) => {
             use crispr_offtarget::genome::diskindex::GenomeIndex;
-            let load_start = Instant::now();
             let index = Arc::new(GenomeIndex::open(path)?);
-            let load_s = load_start.elapsed().as_secs_f64();
             let names: Vec<String> =
                 (0..index.contig_count()).map(|ci| index.contig_name(ci).to_string()).collect();
             let total = index.total_len() as u64;
-            (OffTargetSearch::from_index(index).index_load_seconds(load_s), names, total)
+            (OffTargetSearch::from_index(index), names, total)
         }
         None => {
             let (genome, degraded_inputs) =
@@ -494,16 +504,8 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
             (OffTargetSearch::new(genome).input_degradations(degraded_inputs), names, total)
         }
     };
+    let search = search.load_seconds(load_start.elapsed().as_secs_f64());
 
-    // Observability surfaces around the search proper: the trace session
-    // (events from every instrumented site, one track per thread) and
-    // the live progress reporter. Both default off; with neither, the
-    // instrumentation in the pipeline is one atomic load per site.
-    let session = flags.get("trace").map(|_| {
-        let session = trace::TraceSession::start();
-        trace::name_thread("main");
-        session
-    });
     let reporter = flags.get("progress").map(|_| ProgressReporter::start(total_bases));
 
     let mut search = search
