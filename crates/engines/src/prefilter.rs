@@ -17,8 +17,8 @@
 
 use crate::engine::AnchorGroup;
 use crate::simd::{self, SimdBackend};
-use crispr_genome::pamindex::{BaseMasks, CandidateMask};
-use crispr_genome::{Base, PackedSeq, Strand};
+use crispr_genome::pamindex::{AnchorScanner, BaseMasks, CandidateMask};
+use crispr_genome::{hamming_lanes, Base, PackedSeq, Strand};
 use crispr_guides::{Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -84,14 +84,19 @@ impl PackedPattern {
         match self.word {
             Some(word) => {
                 let window = packed.window_word(start + self.spacer_offset, self.spacer.len());
-                let diff = window ^ word;
-                let lanes = (diff | (diff >> 1)) & 0x5555_5555_5555_5555;
-                let mm = lanes.count_ones() as usize;
+                let mm = word_mismatches(window, word) as usize;
                 (mm <= k).then_some(mm)
             }
             None => packed.count_mismatches(&self.spacer, start + self.spacer_offset, k),
         }
     }
+}
+
+/// Mismatched bases between two right-aligned 2-bit words of equal
+/// length: the one-lane [`hamming_lanes`].
+#[inline]
+fn word_mismatches(window: u64, word: u64) -> u32 {
+    hamming_lanes(&[window], word)[0]
 }
 
 /// Signature-grouped anchor scanners for `patterns` plus their summed hit
@@ -127,11 +132,23 @@ pub(crate) struct AnchoredScan {
     rate: f64,
     /// The kernel backend resolved at build time.
     backend: SimdBackend,
-    /// Per group: the shared `(window start offset, window length)` of the
-    /// members' one-word verifiers when the blocked SIMD verify applies
-    /// (all members lower to one word over the same spacer window — true
-    /// for real guide sets, where a group shares one PAM signature).
-    block_keys: Vec<Option<(usize, usize)>>,
+    /// Per group: the blocked-verify form when it applies (all members
+    /// lower to one word over the same spacer window — true for real guide
+    /// sets, where a group shares one PAM signature).
+    blocked: Vec<Option<BlockedGroup>>,
+}
+
+/// One anchor group lowered for the fused verify kernel
+/// ([`simd::within_budget`]).
+#[derive(Debug)]
+struct BlockedGroup {
+    /// Spacer start within the site, shared by every member.
+    offset: usize,
+    /// Spacer length in bases, shared by every member.
+    len: usize,
+    /// Every member's spacer word, in member order: the contiguous list
+    /// the kernel walks against each block of candidate windows.
+    words: Vec<u64>,
 }
 
 impl AnchoredScan {
@@ -147,21 +164,22 @@ impl AnchoredScan {
     ) -> Option<AnchoredScan> {
         let (groups, rate) = anchor_plan(patterns, site_len)?;
         let verifiers = patterns.iter().map(PackedPattern::new).collect::<Option<Vec<_>>>()?;
-        let block_keys = groups
+        let blocked = groups
             .iter()
             .map(|(_, members)| {
                 let first = &verifiers[members[0]];
-                let key = (first.spacer_offset, first.spacer.len());
-                members
+                let (offset, len) = (first.spacer_offset, first.spacer.len());
+                let words = members
                     .iter()
-                    .all(|&pi| {
+                    .map(|&pi| {
                         let v = &verifiers[pi];
-                        v.word.is_some() && (v.spacer_offset, v.spacer.len()) == key
+                        v.word.filter(|_| (v.spacer_offset, v.spacer.len()) == (offset, len))
                     })
-                    .then_some(key)
+                    .collect::<Option<Vec<u64>>>()?;
+                Some(BlockedGroup { offset, len, words })
             })
             .collect();
-        Some(AnchoredScan { groups, verifiers, site_len, rate, backend, block_keys })
+        Some(AnchoredScan { groups, verifiers, site_len, rate, backend, blocked })
     }
 
     /// Summed anchor hit rate across groups.
@@ -188,23 +206,14 @@ impl AnchoredScan {
         let packed = PackedSeq::from_bases(seq);
         m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
 
-        let scan_start = Instant::now();
-        m.counters.windows_scanned += (seq.len() + 1 - self.site_len) as u64;
-        let blocked = self.backend != SimdBackend::Scalar;
-        for (gi, (scanner, members)) in self.groups.iter().enumerate() {
-            let mask = if blocked {
-                scanner.candidates_blocked(&packed, self.site_len)
+        let site_len = self.site_len;
+        self.scan_groups(&packed, k, out, m, |scanner, blocked| {
+            if blocked {
+                scanner.candidates_blocked(&packed, site_len)
             } else {
-                scanner.candidates(&packed, self.site_len)
-            };
-            match self.block_keys[gi] {
-                Some((offset, len)) if blocked => {
-                    self.scan_group_blocked(members, &mask, offset, len, &packed, k, out, m);
-                }
-                _ => self.scan_group_scalar(members, &mask, &packed, k, out, m),
+                scanner.candidates(&packed, site_len)
             }
-        }
-        m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
+        });
     }
 
     /// The packed fast path of [`AnchoredScan::scan_slice`]: the slice
@@ -226,18 +235,41 @@ impl AnchoredScan {
         if packed.len() < self.site_len {
             return;
         }
+        let site_len = self.site_len;
+        self.scan_groups(packed, k, out, m, |scanner, blocked| {
+            if blocked {
+                scanner.candidates_from_blocked(masks, site_len)
+            } else {
+                scanner.candidates_from(masks, site_len)
+            }
+        });
+    }
+
+    /// Anchors and verifies every group over one packed slice
+    /// (`kernel_scan_s`). `anchor` builds a group's candidate mask, in
+    /// block form when the backend is not `Scalar`; the verify then runs
+    /// the fused blocked kernel when the group lowers to it, else the
+    /// one-candidate-at-a-time loop.
+    fn scan_groups(
+        &self,
+        packed: &PackedSeq,
+        k: usize,
+        out: &mut Vec<Hit>,
+        m: &mut SearchMetrics,
+        anchor: impl Fn(&AnchorScanner, bool) -> CandidateMask,
+    ) {
         let scan_start = Instant::now();
         m.counters.windows_scanned += (packed.len() + 1 - self.site_len) as u64;
         let blocked = self.backend != SimdBackend::Scalar;
-        for (gi, (scanner, members)) in self.groups.iter().enumerate() {
-            let mask = if blocked {
-                scanner.candidates_from_blocked(masks, self.site_len)
-            } else {
-                scanner.candidates_from(masks, self.site_len)
+        for ((scanner, members), group) in self.groups.iter().zip(&self.blocked) {
+            let mask = {
+                let _anchor = crispr_trace::span("kernel:anchor");
+                anchor(scanner, blocked)
             };
-            match self.block_keys[gi] {
-                Some((offset, len)) if blocked => {
-                    self.scan_group_blocked(members, &mask, offset, len, packed, k, out, m);
+            let _verify = crispr_trace::span("kernel:verify");
+            match group {
+                Some(group) if blocked => {
+                    self.scan_group_blocked(members, group, &mask, packed, k, out, m)
                 }
                 _ => self.scan_group_scalar(members, &mask, packed, k, out, m),
             }
@@ -271,9 +303,7 @@ impl AnchoredScan {
                             window = packed.window_word(key.0, key.1);
                             cached = key;
                         }
-                        let diff = window ^ word;
-                        let lanes = (diff | (diff >> 1)) & 0x5555_5555_5555_5555;
-                        let mm = lanes.count_ones() as usize;
+                        let mm = word_mismatches(window, word) as usize;
                         (mm <= k).then_some(mm)
                     }
                     None => packed.count_mismatches(&v.spacer, start + v.spacer_offset, k),
@@ -295,62 +325,72 @@ impl AnchoredScan {
         }
     }
 
-    /// Blocked verify: pull [`simd::BLOCK`] candidate window words at
-    /// once, then run every member's spacer against the whole block with
-    /// the lane-parallel XOR/popcount kernel. Counter events and emitted
-    /// hits are identical to the scalar loop — only the iteration shape
-    /// changes (member-major within a block instead of start-major), and
-    /// hit order is re-normalized by the caller's report phase.
+    /// Blocked verify: walk the candidate mask in [`simd::BLOCK`]-sized
+    /// runs, pull each run's window words at once, and hand the block and
+    /// the group's whole spacer-word list to the fused kernel
+    /// ([`simd::within_budget`]), which reports only `(member, lane mask)`
+    /// pairs with a hit. Padded tail lanes are masked off here, and the
+    /// exact mismatch count is recomputed only for hit lanes. Counter
+    /// events and emitted hits are identical to the scalar loop — only
+    /// the iteration shape changes (member-major within a block instead
+    /// of start-major), and hit order is re-normalized by the caller's
+    /// report phase.
     #[allow(clippy::too_many_arguments)]
     fn scan_group_blocked(
         &self,
         members: &[usize],
+        group: &BlockedGroup,
         mask: &CandidateMask,
-        offset: usize,
-        len: usize,
         packed: &PackedSeq,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) {
-        let starts: Vec<usize> = mask.iter().collect();
-        let mut pam_tested = 0u64;
+        let mut tested = 0u64;
         let mut verified = 0u64;
-        let mut early = 0u64;
-        let mut counts = [0u32; simd::BLOCK];
-        for chunk in starts.chunks(simd::BLOCK) {
-            // Short tail chunks repeat the last start; surplus lanes are
-            // computed and discarded.
-            let mut window_starts = [chunk[chunk.len() - 1] + offset; simd::BLOCK];
-            for (slot, &start) in window_starts.iter_mut().zip(chunk) {
-                *slot = start + offset;
+        let mut lane_hits = Vec::new();
+        let mut candidates = mask.iter();
+        loop {
+            let mut starts = [0usize; simd::BLOCK];
+            let mut filled = 0;
+            for (slot, start) in starts.iter_mut().zip(&mut candidates) {
+                *slot = start + group.offset;
+                filled += 1;
             }
-            let windows = packed.window_words(&window_starts, len);
-            for &pi in members {
-                let v = &self.verifiers[pi];
-                let word = v.word.expect("blocked groups lower to one-word verifiers");
-                simd::mismatch_counts(self.backend, &windows, word, &mut counts);
-                pam_tested += chunk.len() as u64;
-                for (j, &start) in chunk.iter().enumerate() {
-                    let mm = counts[j] as usize;
-                    if mm <= k {
-                        verified += 1;
-                        out.push(Hit {
-                            contig: 0,
-                            pos: start as u64,
-                            guide: v.guide_index,
-                            strand: v.strand,
-                            mismatches: mm as u8,
-                        });
-                    } else {
-                        early += 1;
-                    }
+            if filled == 0 {
+                break;
+            }
+            // A short tail run repeats its last start; the surplus lanes
+            // are computed and masked off.
+            let last = starts[filled - 1];
+            starts[filled..].fill(last);
+            let valid = ((1u16 << filled) - 1) as u8;
+            let windows = packed.window_words(&starts, group.len);
+            lane_hits.clear();
+            simd::within_budget(self.backend, &windows, &group.words, k, &mut lane_hits);
+            tested += (filled * members.len()) as u64;
+            for &(i, lanes) in &lane_hits {
+                let v = &self.verifiers[members[i as usize]];
+                let word = group.words[i as usize];
+                let mut lanes = lanes & valid;
+                while lanes != 0 {
+                    let j = lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let mm = word_mismatches(windows[j], word);
+                    verified += 1;
+                    out.push(Hit {
+                        contig: 0,
+                        pos: (starts[j] - group.offset) as u64,
+                        guide: v.guide_index,
+                        strand: v.strand,
+                        mismatches: mm as u8,
+                    });
                 }
             }
         }
-        m.counters.pam_anchors_tested += pam_tested;
+        m.counters.pam_anchors_tested += tested;
         m.counters.candidates_verified += verified;
-        m.counters.early_exits += early;
+        m.counters.early_exits += tested - verified;
     }
 }
 
@@ -358,6 +398,7 @@ impl AnchoredScan {
 mod tests {
     use super::*;
     use crate::engine::patterns;
+    use crispr_genome::DnaSeq;
     use crispr_guides::{Guide, Pam};
 
     fn guide(pam: Pam) -> Guide {
@@ -408,6 +449,116 @@ mod tests {
             assert_eq!(packed_hits, slice_hits, "backend {}", backend.name());
             assert_eq!(packed_m.counters, slice_m.counters, "backend {}", backend.name());
         }
+    }
+
+    /// `spacer` with `count` distinct positions changed to another base.
+    fn mutated(spacer: &DnaSeq, count: usize, state: &mut u64) -> DnaSeq {
+        let mut bases = spacer.as_slice().to_vec();
+        let mut changed = vec![false; bases.len()];
+        let mut left = count;
+        while left > 0 {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            let pos = (*state % bases.len() as u64) as usize;
+            if !changed[pos] {
+                changed[pos] = true;
+                let shift = 1 + (*state >> 32) % 3;
+                bases[pos] = Base::from_code((bases[pos].code() + shift as u8) % 4);
+                left -= 1;
+            }
+        }
+        DnaSeq::from_bases(bases)
+    }
+
+    #[test]
+    fn many_guides_dense_hits_and_block_tails_match_scalar_on_every_backend() {
+        let spacer: DnaSeq = "GATTACAGCTTACAGATCAC".parse().unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        // 256 guides within 3 mismatches of one spacer: both strand
+        // groups have 256 members, and every planted site hits many.
+        let guides: Vec<Guide> = (0..256)
+            .map(|i| {
+                let spacer = mutated(&spacer, i % 4, &mut state);
+                Guide::new(format!("g{i}"), spacer, Pam::ngg()).unwrap()
+            })
+            .collect();
+        let pats = patterns(&guides);
+        let site_len = pats[0].len();
+        let k = 4;
+
+        // A repeat-rich genome of planted sites (forward `spacer·AGG` or
+        // reverse `CCT·revcomp(spacer)`, 0–2 mismatches) between short AT
+        // fillers. Each prefix ending on a site puts that site on the
+        // last candidate start of its strand's group.
+        let mut genome = DnaSeq::new();
+        let mut prefixes = Vec::new();
+        for unit in 0..48usize {
+            let filler: DnaSeq = "ATTA"[..1 + unit % 4].parse().unwrap();
+            genome.extend_from_seq(&filler);
+            let site = mutated(&spacer, unit % 3, &mut state);
+            if unit % 3 == 2 {
+                genome.extend_from_seq(&"CCT".parse().unwrap());
+                genome.extend_from_seq(&site.revcomp());
+            } else {
+                genome.extend_from_seq(&site);
+                genome.extend_from_seq(&"AGG".parse().unwrap());
+            }
+            prefixes.push(genome.len());
+        }
+
+        let scalar = AnchoredScan::build(&pats, site_len, SimdBackend::Scalar).unwrap();
+        let mut residues = std::collections::BTreeSet::new();
+        for &len in &prefixes {
+            let seq = &genome.as_slice()[..len];
+            let packed = PackedSeq::from_bases(seq);
+            let masks = BaseMasks::build(&packed);
+            let candidates: Vec<usize> = scalar
+                .groups
+                .iter()
+                .map(|(scanner, _)| scanner.candidates(&packed, site_len).count())
+                .collect();
+            residues.extend(candidates.iter().map(|c| c % 8));
+            let tested: usize =
+                scalar.groups.iter().zip(&candidates).map(|((_, mem), c)| c * mem.len()).sum();
+
+            let mut want = Vec::new();
+            scalar.scan_slice(seq, k, &mut want, &mut SearchMetrics::default());
+            let key = |h: &Hit| (h.pos, h.guide, h.strand, h.mismatches);
+            let mut want: Vec<_> = want.iter().map(key).collect();
+            want.sort_unstable();
+            let last = (len - site_len) as u64;
+            assert!(want.iter().any(|h| h.0 == last), "prefix {len}: no hit on the last start");
+
+            for backend in SimdBackend::ALL {
+                if !backend.available() {
+                    continue;
+                }
+                let scan = AnchoredScan::build(&pats, site_len, backend).unwrap();
+                let mut slice_m = SearchMetrics::default();
+                let mut slice_hits = Vec::new();
+                scan.scan_slice(seq, k, &mut slice_hits, &mut slice_m);
+                let mut packed_m = SearchMetrics::default();
+                let mut packed_hits = Vec::new();
+                scan.scan_packed(&packed, &masks, k, &mut packed_hits, &mut packed_m);
+                for (hits, m, path) in
+                    [(&slice_hits, &slice_m, "slice"), (&packed_hits, &packed_m, "packed")]
+                {
+                    let what = format!("backend {} {path} prefix {len}", backend.name());
+                    let mut got: Vec<_> = hits.iter().map(key).collect();
+                    got.sort_unstable();
+                    let mut unique = got.clone();
+                    unique.dedup_by_key(|h| (h.0, h.1, h.2));
+                    assert_eq!(unique.len(), got.len(), "{what}: a hit emitted twice");
+                    assert_eq!(got, want, "{what}");
+                    let c = &m.counters;
+                    assert_eq!(c.pam_anchors_tested, tested as u64, "{what}");
+                    assert_eq!(c.early_exits + c.candidates_verified, c.pam_anchors_tested);
+                    assert_eq!(c.candidates_verified, want.len() as u64, "{what}");
+                }
+            }
+        }
+        assert!((1..=7).all(|r| residues.contains(&r)), "candidate residues {residues:?}");
     }
 
     #[test]

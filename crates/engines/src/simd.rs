@@ -1,13 +1,15 @@
 //! Runtime-dispatched SIMD kernels for the three hot loops of the CPU
-//! engines: the blocked window verifier (XOR + even-lane collapse +
-//! per-lane POPCNT over 4–8 candidate windows at once), the q-gram
-//! seed-table emptiness screen (a vector of rolling registers materialised
-//! as 32 window codes per packed word, gathered against the direct CSR
-//! offset table), and the 256-bit blocked PAM-bitmap intersection (which
-//! lives in [`crispr_genome::pamindex`] as width-generic portable code —
-//! profiling shows the compiler already lowers it well, so explicit
-//! intrinsics are reserved for the two loops codegen cannot reach: the
-//! gather probe and the lane popcount).
+//! engines: the fused many-guide window verifier (one block of 8
+//! candidate windows held in registers while every guide's spacer word is
+//! XORed, counted per lane and compared against the budget, with a branch
+//! only on hit lanes), the q-gram seed-table emptiness screen (a
+//! vector of rolling registers materialised as 32 window codes per packed
+//! word, gathered against the direct CSR offset table), and the 256-bit
+//! blocked PAM-bitmap intersection (which lives in
+//! [`crispr_genome::pamindex`] as width-generic portable code — profiling
+//! shows the compiler already lowers it well, so explicit intrinsics are
+//! reserved for the two loops codegen cannot reach: the gather probe and
+//! the lane popcount).
 //!
 //! Backends are selected **once per `prepare()`** via [`resolve`]:
 //! an explicit engine override beats the `OFFTARGET_SIMD` environment
@@ -45,8 +47,8 @@ pub enum SimdBackend {
     /// x86_64 AVX2: 256-bit XOR/AND, variable per-lane shifts, 8-byte
     /// gathers against the seed offset table, nibble-LUT popcount.
     Avx2,
-    /// aarch64 NEON: 128-bit pairs with `vcnt`+`vpaddl` popcount chains;
-    /// table probes stay scalar (NEON has no gather).
+    /// aarch64 NEON: detected and reported, but every kernel runs the
+    /// portable code — no NEON intrinsics are compiled in.
     Neon,
 }
 
@@ -143,22 +145,45 @@ pub(crate) fn resolve(preference: Option<SimdBackend>) -> SimdBackend {
     backend
 }
 
-/// Per-lane mismatch counts for one block of extracted window words
-/// against one right-aligned 2-bit pattern word. Exact on every backend;
-/// only the lane grouping differs.
+/// The fused many-guide verify: tests every spacer word in `words`
+/// against one block of extracted window words and pushes `(i, lanes)`
+/// for each `words[i]` within budget in at least one lane, where bit `j`
+/// of `lanes` is set iff window `j` is at most `k` mismatches from
+/// `words[i]`. The block stays in registers across the whole word list,
+/// so the reject path — nearly every `(guide, block)` pair — is a
+/// compare, a movemask and a not-taken branch. Exact on every backend;
+/// NEON and `Scalar` run the portable loop.
 #[inline]
-pub(crate) fn mismatch_counts(
+pub(crate) fn within_budget(
     backend: SimdBackend,
     windows: &[u64; BLOCK],
-    pattern: u64,
-    out: &mut [u32; BLOCK],
+    words: &[u64],
+    k: usize,
+    hits: &mut Vec<(u32, u8)>,
 ) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { avx2::mismatch_counts(windows, pattern, out) },
-        #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => unsafe { neon::mismatch_counts(windows, pattern, out) },
-        _ => *out = hamming_lanes(windows, pattern),
+        SimdBackend::Avx2 => unsafe { avx2::within_budget(windows, words, k, hits) },
+        _ => portable_within_budget(windows, words, k, hits),
+    }
+}
+
+/// Portable fused verify: [`hamming_lanes`] per word on `[u64; 8]`,
+/// folded to a lane mask.
+fn portable_within_budget(
+    windows: &[u64; BLOCK],
+    words: &[u64],
+    k: usize,
+    hits: &mut Vec<(u32, u8)>,
+) {
+    for (i, &word) in words.iter().enumerate() {
+        let lanes = hamming_lanes(windows, word)
+            .iter()
+            .enumerate()
+            .fold(0u8, |acc, (j, &mm)| acc | (((mm as usize) <= k) as u8) << j);
+        if lanes != 0 {
+            hits.push((i as u32, lanes));
+        }
     }
 }
 
@@ -246,38 +271,58 @@ mod avx2 {
     use crispr_genome::kmer::qgram_codes32;
     use std::arch::x86_64::*;
 
-    /// AVX2 lane verifier: two 4×64 halves; XOR against the broadcast
-    /// pattern, collapse each 2-bit base lane to its low bit, then count
-    /// with the nibble-LUT `vpshufb` popcount + `vpsadbw` horizontal sum
-    /// (AVX2 has no per-lane POPCNT instruction).
+    /// AVX2 fused verify: the block is loaded once as two 4×64 halves
+    /// (even and odd windows); per word, XOR against the broadcast word
+    /// and count the mismatched bases with a `vpshufb` lookup on each
+    /// nibble (two bases: a nibble's count is how many of its 2-bit fields
+    /// are nonzero) plus a `vpsadbw` horizontal sum — AVX2 has no per-lane
+    /// POPCNT. `k − count` carries the verdict in its sign bit; one
+    /// `vpblendd` interleaves the halves' sign bits and `vmovmskps`
+    /// gathers them into the lane mask.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mismatch_counts(windows: &[u64; BLOCK], pattern: u64, out: &mut [u32; BLOCK]) {
-        let pat = _mm256_set1_epi64x(pattern as i64);
-        let even = _mm256_set1_epi64x(0x5555_5555_5555_5555u64 as i64);
+    pub unsafe fn within_budget(
+        windows: &[u64; BLOCK],
+        words: &[u64],
+        k: usize,
+        hits: &mut Vec<(u32, u8)>,
+    ) {
         let low_nibble = _mm256_set1_epi8(0x0F);
         #[rustfmt::skip]
         let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2,
+            0, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2,
         );
-        for half in 0..2 {
-            let v = _mm256_loadu_si256(windows.as_ptr().add(4 * half) as *const __m256i);
-            let diff = _mm256_xor_si256(v, pat);
-            let lanes = _mm256_and_si256(_mm256_or_si256(diff, _mm256_srli_epi64::<1>(diff)), even);
-            let lo = _mm256_and_si256(lanes, low_nibble);
-            let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(lanes), low_nibble);
-            let counts =
-                _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-            // Per-64-bit-lane byte sums land in the low 16 bits of each lane.
-            let sums = _mm256_sad_epu8(counts, _mm256_setzero_si256());
-            let mut lanes_out = [0u64; 4];
-            _mm256_storeu_si256(lanes_out.as_mut_ptr() as *mut __m256i, sums);
-            for (j, &sum) in lanes_out.iter().enumerate() {
-                out[4 * half + j] = sum as u32;
+        // Counts never exceed 32, so any k ≥ 32 passes every lane.
+        let budget = _mm256_set1_epi64x(k.min(32) as i64);
+        // Even windows in one half, odd in the other, so the blend below
+        // lines the two halves' sign bits up in window order.
+        let even: [u64; 4] = std::array::from_fn(|j| windows[2 * j]);
+        let odd: [u64; 4] = std::array::from_fn(|j| windows[2 * j + 1]);
+        let block = [
+            _mm256_loadu_si256(even.as_ptr() as *const __m256i),
+            _mm256_loadu_si256(odd.as_ptr() as *const __m256i),
+        ];
+        for (i, &word) in words.iter().enumerate() {
+            let pat = _mm256_set1_epi64x(word as i64);
+            let over = block.map(|v| {
+                let diff = _mm256_xor_si256(v, pat);
+                let lo = _mm256_and_si256(diff, low_nibble);
+                let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(diff), low_nibble);
+                let counts =
+                    _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+                // Per-64-bit-lane byte sums land in the low 16 bits of each lane.
+                _mm256_sub_epi64(budget, _mm256_sad_epu8(counts, _mm256_setzero_si256()))
+            });
+            // Sign bit of 32-bit lane j = window j over budget.
+            let signs =
+                _mm256_blend_epi32::<0b1010_1010>(_mm256_srli_epi64::<32>(over[0]), over[1]);
+            let lanes = !_mm256_movemask_ps(_mm256_castsi256_ps(signs)) as u8;
+            if lanes != 0 {
+                hits.push((i as u32, lanes));
             }
         }
     }
@@ -354,35 +399,6 @@ mod avx2 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::BLOCK;
-    use std::arch::aarch64::*;
-
-    /// NEON lane verifier: four 2×64 pairs; XOR against the broadcast
-    /// pattern, collapse 2-bit base lanes, then the byte-popcount +
-    /// pairwise-widening-add chain (`vcnt` → `vpaddl×3`) yields per-64
-    /// counts.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure NEON is available.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn mismatch_counts(windows: &[u64; BLOCK], pattern: u64, out: &mut [u32; BLOCK]) {
-        let pat = vdupq_n_u64(pattern);
-        let even = vdupq_n_u64(0x5555_5555_5555_5555);
-        for pair in 0..4 {
-            let v = vld1q_u64(windows.as_ptr().add(2 * pair));
-            let diff = veorq_u64(v, pat);
-            let lanes = vandq_u64(vorrq_u64(diff, vshrq_n_u64::<1>(diff)), even);
-            let bytes = vcntq_u8(vreinterpretq_u8_u64(lanes));
-            let sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bytes)));
-            out[2 * pair] = vgetq_lane_u64::<0>(sums) as u32;
-            out[2 * pair + 1] = vgetq_lane_u64::<1>(sums) as u32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,22 +446,73 @@ mod tests {
         assert!(SimdBackend::detect().available());
     }
 
+    /// Flips `count` distinct bases of the `len`-base word `word` to a
+    /// different base each: the result is exactly `count` mismatches away.
+    fn mutate(word: u64, len: usize, count: usize, state: &mut u64) -> u64 {
+        let mut out = word;
+        let mut flipped = 0u64;
+        while (flipped.count_ones() as usize) < count {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            let pos = (*state % len as u64) as usize;
+            if flipped >> pos & 1 == 0 {
+                flipped |= 1 << pos;
+                out ^= (1 + (*state >> 40) % 3) << (2 * pos);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn mismatch_counts_all_backends_agree() {
-        let genome = synth(512, 0x9E37_79B9);
-        let pattern_src = synth(20, 0xBF58_476D);
-        let pattern = pattern_src.window_word(0, 20);
-        for block_start in [0usize, 3, 31, 64, 200, 460] {
-            let starts: [usize; BLOCK] = std::array::from_fn(|j| block_start + 4 * j);
-            let windows = genome.window_words(&starts, 20);
-            let reference = hamming_lanes(&windows, pattern);
-            for backend in SimdBackend::ALL {
-                if !backend.available() {
-                    continue;
+    fn within_budget_lane_masks_match_hamming_on_every_backend() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in [20usize, 32] {
+            let genome = synth(4096, len as u64);
+            let words: Vec<u64> =
+                (0..24).map(|i| synth(len, 0xA5A5 + i).window_word(0, len)).collect();
+            for k in 0..=20usize {
+                for round in 0..6usize {
+                    // Half the blocks are random windows; half sit on the
+                    // budget edge: lanes at k and k + 1 from words[0]
+                    // side by side, plus one far lane.
+                    let windows: [u64; BLOCK] = if round % 2 == 0 {
+                        let base = 37 * (k * 6 + round) % (4096 - len - 4 * BLOCK);
+                        genome.window_words(&std::array::from_fn(|j| base + 4 * j), len)
+                    } else {
+                        std::array::from_fn(|j| {
+                            let count = match j % 3 {
+                                0 => k,
+                                1 => k + 1,
+                                _ => (k + 3 + j).min(len),
+                            };
+                            mutate(words[0], len, count.min(len), &mut state)
+                        })
+                    };
+                    let mut want = Vec::new();
+                    for (i, &word) in words.iter().enumerate() {
+                        let counts = hamming_lanes(&windows, word);
+                        let lanes = (0..BLOCK)
+                            .filter(|&j| counts[j] as usize <= k)
+                            .fold(0u8, |acc, j| acc | 1 << j);
+                        if lanes != 0 {
+                            want.push((i as u32, lanes));
+                        }
+                    }
+                    if round % 2 == 1 && k < len {
+                        // The edge block really has both sides of the budget.
+                        let counts = hamming_lanes(&windows, words[0]);
+                        assert_eq!((counts[0], counts[1]), (k as u32, k as u32 + 1));
+                    }
+                    for backend in SimdBackend::ALL {
+                        if !backend.available() {
+                            continue;
+                        }
+                        let mut got = Vec::new();
+                        within_budget(backend, &windows, &words, k, &mut got);
+                        assert_eq!(got, want, "backend {} len {len} k {k}", backend.name());
+                    }
                 }
-                let mut got = [0u32; BLOCK];
-                mismatch_counts(backend, &windows, pattern, &mut got);
-                assert_eq!(got, reference, "backend {} block {block_start}", backend.name());
             }
         }
     }
