@@ -2,7 +2,7 @@
 
 use crate::place::{place, PatternDemand, Placement};
 use crate::ApBoardSpec;
-use crispr_engines::{BitParallelEngine, Engine, EngineError};
+use crispr_engines::{Accelerated, BitParallelEngine, Engine, EngineError};
 use crispr_genome::Genome;
 use crispr_guides::{compile, CompileOptions, Guide, Hit};
 use crispr_model::TimingBreakdown;
@@ -120,7 +120,7 @@ impl ApSearch {
         // automaton semantics exactly (cross-validated in tests and E9;
         // the strided machine is additionally validated against it in the
         // guides crate).
-        let hits = BitParallelEngine::new().search(genome, guides, k)?;
+        let hits = Accelerated::new(BitParallelEngine::new()).search(genome, guides, k)?;
 
         // Report-cycle stalls: one output vector per cycle with ≥1 report.
         let site_len = set.site_len as u64;

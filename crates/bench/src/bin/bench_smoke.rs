@@ -28,9 +28,10 @@
 use std::time::Instant;
 
 use crispr_bench::workloads;
+use crispr_core::Platform;
 use crispr_engines::{
-    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, NfaEngine,
-    ScalarEngine, ScanDeployment, SimdBackend,
+    run_search, Accelerated, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine,
+    ScanDeployment, SimdBackend,
 };
 use crispr_genome::Genome;
 use crispr_guides::Guide;
@@ -76,29 +77,31 @@ fn metered_run(engine: &dyn Engine, genome: &Genome, guides: &[Guide], k: usize)
     m
 }
 
+/// The production engine of a CPU platform.
+fn platform(p: Platform) -> Box<dyn Engine> {
+    p.cpu_engine().expect("a measured CPU platform")
+}
+
 fn measure() -> Vec<Row> {
     let (genome, guides, _) = workloads::planted(GENOME_LEN, GUIDES, K, SEED);
+    // A row named after a platform runs that platform's production
+    // engine; each `-nofilter` row is its bare ablation baseline.
+    let batched = || Accelerated::batched(BitParallelEngine::new());
     let engines: Vec<(&'static str, Box<dyn Engine>)> = vec![
-        ("cpu-scalar", Box::new(ScalarEngine::new())),
-        ("cpu-casot", Box::new(CasotEngine::new())),
+        ("cpu-scalar", platform(Platform::CpuScalar)),
+        ("cpu-casot", platform(Platform::CpuCasot)),
         ("cpu-casot-nofilter", Box::new(CasotEngine::new().without_prefilter())),
-        ("cpu-cas-offinder", Box::new(CasOffinderCpuEngine::new())),
-        ("cpu-cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::without_prefilter())),
-        ("cpu-hyperscan", Box::new(BitParallelEngine::new())),
-        ("cpu-hyperscan-nofilter", Box::new(BitParallelEngine::without_prefilter())),
-        ("cpu-hyperscan-batched", Box::new(BitParallelEngine::batched())),
+        ("cpu-cas-offinder", platform(Platform::CpuCasOffinder)),
+        ("cpu-cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::new())),
+        ("cpu-hyperscan", platform(Platform::CpuBitParallel)),
+        ("cpu-hyperscan-nofilter", Box::new(BitParallelEngine::new())),
+        ("cpu-hyperscan-batched", platform(Platform::CpuBitParallelBatched)),
         // Forced-backend twins of the batched row: the committed baseline
         // keeps the portable-fallback-vs-scalar relation visible (and
         // relatively gated) on every machine, whatever ISA `auto` picks.
-        (
-            "cpu-hyperscan-batched-portable",
-            Box::new(BitParallelEngine::batched().with_simd(SimdBackend::Portable)),
-        ),
-        (
-            "cpu-hyperscan-batched-scalar",
-            Box::new(BitParallelEngine::batched().with_simd(SimdBackend::Scalar)),
-        ),
-        ("cpu-nfa", Box::new(NfaEngine::new())),
+        ("cpu-hyperscan-batched-portable", Box::new(batched().with_simd(SimdBackend::Portable))),
+        ("cpu-hyperscan-batched-scalar", Box::new(batched().with_simd(SimdBackend::Scalar))),
+        ("cpu-nfa", platform(Platform::CpuNfa)),
     ];
     let mut best: Vec<Option<SearchMetrics>> = (0..engines.len()).map(|_| None).collect();
     for _ in 0..ROUNDS {
@@ -127,12 +130,12 @@ fn measure() -> Vec<Row> {
 /// cascade scales as the budget loosens and the filters pass more.
 fn sweep_batched() -> Vec<(usize, f64)> {
     let (genome, guides, _) = workloads::planted(GENOME_LEN, GUIDES, K, SEED);
-    let engine = BitParallelEngine::batched();
+    let engine = platform(Platform::CpuBitParallelBatched);
     (0..=4)
         .map(|k| {
             let mut best = f64::INFINITY;
             for _ in 0..SWEEP_ROUNDS {
-                let m = metered_run(&engine, &genome, &guides, k);
+                let m = metered_run(engine.as_ref(), &genome, &guides, k);
                 best = best.min(m.phases.kernel_scan_s);
             }
             (k, best * 1e9 / GENOME_LEN as f64)
@@ -180,7 +183,7 @@ fn bench_index() -> IndexBench {
     drop(index);
     drop(genome);
 
-    let engine = BitParallelEngine::new();
+    let engine = Accelerated::new(BitParallelEngine::new());
     // The FASTA-rebuild path a warm run replaces: parse the reference,
     // then scan (the engines re-pack and re-derive masks in-scan,
     // charged to genome_load_s).

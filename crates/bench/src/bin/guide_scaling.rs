@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use crispr_bench::workloads;
-use crispr_engines::{BitParallelEngine, Engine};
+use crispr_engines::{Accelerated, BitParallelEngine, Engine};
 use crispr_genome::Genome;
 use crispr_guides::Guide;
 use crispr_model::SearchMetrics;
@@ -44,8 +44,8 @@ fn main() {
     let counts: &[usize] = if quick { &[100, 1000] } else { &[100, 1000, 10_000] };
 
     let genome = workloads::genome(genome_len, SEED);
-    let batched = BitParallelEngine::batched();
-    let per_guide = BitParallelEngine::new();
+    let batched = Accelerated::batched(BitParallelEngine::new());
+    let per_guide = Accelerated::new(BitParallelEngine::new());
 
     println!("| guides | batched kernel (s) | per-guide kernel (s) | batched growth | per-guide growth | seed states | guides/candidate |");
     println!("|-------:|-------------------:|---------------------:|---------------:|-----------------:|------------:|-----------------:|");

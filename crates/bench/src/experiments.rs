@@ -7,7 +7,7 @@ use crate::{extrapolate, workloads};
 use crispr_ap::{patterns_per_board, patterns_per_chip, ApBoardSpec, ApSearch, PatternDemand};
 use crispr_core::Platform;
 use crispr_engines::{
-    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
+    Accelerated, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
 };
 use crispr_fpga::{estimate_design, FpgaSearch, FpgaSpec};
 use crispr_genome::{Genome, Strand};
@@ -93,8 +93,8 @@ fn run_measured(
         });
     };
     push("cpu-casot (baseline)", &CasotEngine::new());
-    push("cpu-cas-offinder (baseline)", &CasOffinderCpuEngine::new());
-    push("cpu-hyperscan (automata)", &BitParallelEngine::new());
+    push("cpu-cas-offinder (baseline)", &Accelerated::new(CasOffinderCpuEngine::new()));
+    push("cpu-hyperscan (automata)", &Accelerated::new(BitParallelEngine::new()));
     if include_nfa {
         push("cpu-nfa (automata)", &NfaEngine::new());
     }
@@ -346,10 +346,10 @@ pub fn e8() -> String {
             &PlantPlan::uniform(3, 1),
             63,
         );
-        let (hits, bp_secs) =
-            timed(|| BitParallelEngine::new().search(&genome, &guides, 3).expect("engine runs"));
-        let (_, bf_secs) =
-            timed(|| CasOffinderCpuEngine::new().search(&genome, &guides, 3).expect("engine runs"));
+        let hyperscan = Accelerated::new(BitParallelEngine::new());
+        let cas_offinder = Accelerated::new(CasOffinderCpuEngine::new());
+        let (hits, bp_secs) = timed(|| hyperscan.search(&genome, &guides, 3).expect("engine runs"));
+        let (_, bf_secs) = timed(|| cas_offinder.search(&genome, &guides, 3).expect("engine runs"));
         let ap = ApSearch::new().run(&genome, &guides, 3).expect("ap runs");
         t.row([
             pam.to_string(),

@@ -1,6 +1,6 @@
 use crispr_engines::{
-    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
-    ScalarEngine,
+    Accelerated, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
+    NfaEngine, ScalarEngine,
 };
 use std::fmt;
 
@@ -90,14 +90,19 @@ impl Platform {
 
     /// The CPU engine that runs this platform, or `None` for the modeled
     /// accelerators. The one place a platform name becomes an engine: the
-    /// batch search and the serve daemon both resolve through it.
+    /// batch search and the serve daemon both resolve through it. It is
+    /// also the one place the [`Accelerated`] front is applied: the
+    /// Cas-OFFinder and HyperScan platforms run their pure engines behind
+    /// it, and every other engine runs as it stands.
     pub fn cpu_engine(self) -> Option<Box<dyn Engine>> {
         Some(match self {
             Platform::CpuScalar => Box::new(ScalarEngine::new()),
-            Platform::CpuCasOffinder => Box::new(CasOffinderCpuEngine::new()),
+            Platform::CpuCasOffinder => Box::new(Accelerated::new(CasOffinderCpuEngine::new())),
             Platform::CpuCasot => Box::new(CasotEngine::new()),
-            Platform::CpuBitParallel => Box::new(BitParallelEngine::new()),
-            Platform::CpuBitParallelBatched => Box::new(BitParallelEngine::batched()),
+            Platform::CpuBitParallel => Box::new(Accelerated::new(BitParallelEngine::new())),
+            Platform::CpuBitParallelBatched => {
+                Box::new(Accelerated::batched(BitParallelEngine::new()))
+            }
             Platform::CpuNfa => Box::new(NfaEngine::new()),
             Platform::CpuDfa => Box::new(DfaEngine::new()),
             Platform::Ap | Platform::Fpga | Platform::GpuInfant2 | Platform::GpuCasOffinder => {

@@ -1,5 +1,5 @@
 //! The HyperScan-class CPU automata engine: multi-pattern bit-parallel
-//! Hamming shift-and, fronted by the PAM-anchor prefilter.
+//! Hamming shift-and.
 //!
 //! This is the mismatch automaton of [`crispr_guides::compile`] executed
 //! in registers instead of state graphs: register `R_j` holds, for each
@@ -21,18 +21,13 @@
 //! `O(patterns × (k+1))` word operations, flat in genome content — the
 //! "automata on CPU" data point of the paper.
 //!
-//! When the guide set is PAM-anchorable, the engine instead deploys the
-//! shared [`crate::prefilter`] pass — HyperScan's own trick of cheap
-//! literal prefilters in front of the automaton, here with the PAM as the
-//! literal. The register machine remains the fallback for unanchorable
-//! pattern sets and the ground truth the prefiltered path is tested
-//! against.
+//! This is the engine in its pure form. HyperScan's own trick of cheap
+//! literal prefilters in front of the automaton — here with the PAM as
+//! the literal — is the separate [`crate::Accelerated`] front; the
+//! register machine stays its fallback for unanchorable pattern sets and
+//! the ground truth the prefiltered path is tested against.
 
-use crate::degrade::guarded_accel;
 use crate::engine::{patterns, validate_guides, Engine, PreparedSearch};
-use crate::multiseed::{MultiSeedPrepared, MultiSeedScan};
-use crate::prefilter::AnchoredScan;
-use crate::simd::SimdBackend;
 use crate::EngineError;
 use crispr_genome::Base;
 use crispr_guides::{Guide, Hit, SitePattern};
@@ -154,60 +149,23 @@ impl RegisterBank {
 }
 
 /// Bit-parallel multi-pattern engine; see the module docs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BitParallelEngine {
-    prefilter: bool,
-    batched: bool,
-    simd: Option<SimdBackend>,
-}
-
-impl Default for BitParallelEngine {
-    fn default() -> BitParallelEngine {
-        BitParallelEngine::new()
-    }
+    _private: (),
 }
 
 impl BitParallelEngine {
-    /// Creates the engine (PAM-anchor prefilter enabled where applicable).
+    /// Creates the engine.
     pub fn new() -> BitParallelEngine {
-        BitParallelEngine { prefilter: true, batched: false, simd: None }
-    }
-
-    /// Creates the engine with the prefilter disabled — every slice runs
-    /// through the register machine. The ablation baseline.
-    pub fn without_prefilter() -> BitParallelEngine {
-        BitParallelEngine { prefilter: false, batched: false, simd: None }
-    }
-
-    /// Creates the engine in batched multi-guide mode: where the guide
-    /// set admits it, `prepare` compiles the shared seed automaton of
-    /// [`crate::multiseed`] instead of per-guide anchor-and-verify, so
-    /// scan cost grows with seed traffic rather than guide count.
-    /// Unbatchable sets fall back to [`BitParallelEngine::new`] behavior.
-    pub fn batched() -> BitParallelEngine {
-        BitParallelEngine { prefilter: true, batched: true, simd: None }
-    }
-
-    /// Forces the SIMD backend the prepared kernels dispatch to; the
-    /// default defers to `OFFTARGET_SIMD` and runtime detection (see
-    /// [`crate::simd`]). An unavailable choice degrades to portable.
-    pub fn with_simd(mut self, backend: SimdBackend) -> BitParallelEngine {
-        self.simd = Some(backend);
-        self
+        BitParallelEngine::default()
     }
 }
 
-/// Compiled form: register bank plus, when applicable, the anchor-and-
-/// verify deployment that replaces register stepping on anchorable sets.
+/// Compiled form: the register bank.
 #[derive(Debug)]
 struct BitParallelPrepared {
     bank: RegisterBank,
-    anchored: Option<AnchoredScan>,
     site_len: usize,
-    k: usize,
-    /// Accelerator builds that failed during `prepare` and were replaced
-    /// by a fallback path; surfaced as `degraded_paths`.
-    degraded: u64,
 }
 
 impl PreparedSearch for BitParallelPrepared {
@@ -222,14 +180,7 @@ impl PreparedSearch for BitParallelPrepared {
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:bitparallel");
-        // Both paths are linear bitwise passes over the slice; meter them
-        // under the same symbol count.
         m.counters.bit_steps += seq.len() as u64;
-        if let Some(anchored) = &self.anchored {
-            anchored.scan_slice(seq, self.k, out, m);
-            return Ok(());
-        }
-
         let scan_start = Instant::now();
         m.counters.windows_scanned += (seq.len() + 1).saturating_sub(self.site_len) as u64;
         let mut regs = self.bank.scratch();
@@ -252,45 +203,11 @@ impl PreparedSearch for BitParallelPrepared {
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
         Ok(())
     }
-
-    fn scan_packed(
-        &self,
-        packed: &crispr_genome::PackedSeq,
-        masks: &crispr_genome::pamindex::BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        // Anchorable sets consume the index form directly (stored anchor
-        // bitmaps, no repacking); the register-stepping fallback needs
-        // byte-per-base symbols and takes the unpack path.
-        if let Some(anchored) = &self.anchored {
-            let _kernel = crispr_trace::span("kernel:bitparallel");
-            m.counters.bit_steps += packed.len() as u64;
-            anchored.scan_packed(packed, masks, self.k, out, m);
-            return Ok(());
-        }
-        let load_start = Instant::now();
-        let bases = packed.unpack();
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-        self.scan_slice(bases.as_slice(), out, m)
-    }
-
-    fn record_gauges(&self, m: &mut SearchMetrics) {
-        m.counters.degraded_paths += self.degraded;
-        if let Some(anchored) = &self.anchored {
-            m.set_gauge("anchor_rate", anchored.rate());
-            m.set_gauge("simd_backend", anchored.backend().gauge());
-        }
-    }
 }
 
 impl Engine for BitParallelEngine {
     fn name(&self) -> &'static str {
-        if self.batched {
-            "bitparallel-hyperscan-batched"
-        } else {
-            "bitparallel-hyperscan"
-        }
+        "bitparallel-hyperscan"
     }
 
     fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
@@ -300,33 +217,15 @@ impl Engine for BitParallelEngine {
                 "site length {site_len} exceeds the 64-bit register width"
             )));
         }
-        let pattern_list = patterns(guides);
-        let backend = crate::simd::resolve(self.simd);
-        let mut degraded = 0;
-        if self.batched {
-            let scan = guarded_accel("multiseed.build", &mut degraded, || {
-                MultiSeedScan::build_with(&pattern_list, site_len, k, backend)
-            });
-            if let Some(scan) = scan {
-                return Ok(Box::new(MultiSeedPrepared::new(scan)));
-            }
-        }
-        let anchored = if self.prefilter {
-            guarded_accel("prefilter.build", &mut degraded, || {
-                AnchoredScan::build(&pattern_list, site_len, backend)
-            })
-        } else {
-            None
-        };
-        let bank = RegisterBank::new(&pattern_list, k);
-        Ok(Box::new(BitParallelPrepared { bank, anchored, site_len, k, degraded }))
+        let bank = RegisterBank::new(&patterns(guides), k);
+        Ok(Box::new(BitParallelPrepared { bank, site_len }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_support::{assert_engine_correct, planted_workload};
+    use crate::engine::test_support::assert_engine_correct;
     use crate::engine::ScalarEngine;
     use crispr_guides::Pam;
 
@@ -346,66 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn register_path_matches_oracle_without_prefilter() {
-        assert_engine_correct(&BitParallelEngine::without_prefilter(), 24, 3);
-    }
-
-    #[test]
-    fn batched_path_matches_oracle() {
-        assert_engine_correct(&BitParallelEngine::batched(), 25, 0);
-        assert_engine_correct(&BitParallelEngine::batched(), 26, 3);
-        assert_eq!(BitParallelEngine::batched().name(), "bitparallel-hyperscan-batched");
-    }
-
-    #[test]
-    fn batched_pamless_guides_fall_back_to_registers() {
-        let guide = Guide::new("g", "GATTACAGATTACAGATTAC".parse().unwrap(), Pam::none()).unwrap();
-        let (genome, _, _) = planted_workload(27, 0);
-        let guides = vec![guide];
-        let mut m = SearchMetrics::default();
-        let batched =
-            BitParallelEngine::batched().search_metered(&genome, &guides, 1, &mut m).unwrap();
-        let truth = ScalarEngine::new().search(&genome, &guides, 1).unwrap();
-        assert_eq!(batched, truth);
-        // The fallback is the register machine, not the seed automaton.
-        assert_eq!(m.counters.multiseed_candidates, 0);
-        assert!(m.counters.bit_steps > 0);
-    }
-
-    #[test]
-    fn prefiltered_and_register_paths_agree() {
-        let (genome, guides, _) = planted_workload(31, 3);
-        let fast = BitParallelEngine::new().search(&genome, &guides, 3).unwrap();
-        let plain = BitParallelEngine::without_prefilter().search(&genome, &guides, 3).unwrap();
-        assert_eq!(fast, plain);
-    }
-
-    #[test]
-    fn pamless_guides_fall_back_to_registers() {
-        let guide = Guide::new("g", "GATTACAGATTACAGATTAC".parse().unwrap(), Pam::none()).unwrap();
-        let (genome, _, _) = planted_workload(32, 0);
-        let guides = vec![guide];
-        let fast = BitParallelEngine::new().search(&genome, &guides, 1).unwrap();
-        let truth = ScalarEngine::new().search(&genome, &guides, 1).unwrap();
-        assert_eq!(fast, truth);
-        // No anchor gauge when the register path runs.
-        let mut m = SearchMetrics::default();
-        let _ = BitParallelEngine::new().search_metered(&genome, &guides, 1, &mut m).unwrap();
-        assert_eq!(m.gauge("anchor_rate"), None);
-    }
-
-    #[test]
-    fn anchor_gauge_reports_pam_rate() {
-        let (genome, guides, _) = planted_workload(33, 1);
-        let mut m = SearchMetrics::default();
-        let _ = BitParallelEngine::new().search_metered(&genome, &guides, 1, &mut m).unwrap();
-        // NGG both strands: 1/16 + 1/16.
-        assert!((m.gauge("anchor_rate").unwrap() - 0.125).abs() < 1e-12);
-        assert!(m.counters.pam_anchors_tested > 0);
-        assert!(m.counters.early_exits > 0);
-    }
-
-    #[test]
     fn pam_mismatch_never_paid_from_budget() {
         // Site with perfect spacer but broken PAM must not appear even at
         // high budget.
@@ -413,7 +252,8 @@ mod tests {
         let genome = crispr_genome::Genome::from_seq(
             "TTTTGATTACAGATTACAGATTACTTTAAAA".parse().unwrap(), // PAM = TTT
         );
-        for engine in [BitParallelEngine::new(), BitParallelEngine::without_prefilter()] {
+        let pure = BitParallelEngine::new();
+        for engine in [&pure as &dyn Engine, &crate::Accelerated::new(pure)] {
             let hits = engine.search(&genome, std::slice::from_ref(&guide), 6).unwrap();
             assert!(hits.iter().all(|h| h.pos != 4 || h.strand == crispr_genome::Strand::Reverse));
         }
@@ -438,10 +278,12 @@ mod tests {
             .generate();
         let guides = crispr_guides::genset::guides_from_genome(&genome, 4, 20, &Pam::ngg(), 10);
         assert!(!guides.is_empty());
+        let pure = BitParallelEngine::new();
         for k in [1, 3] {
-            let fast = BitParallelEngine::new().search(&genome, &guides, k).unwrap();
             let truth = ScalarEngine::new().search(&genome, &guides, k).unwrap();
-            assert_eq!(fast, truth, "k={k}");
+            for engine in [&pure as &dyn Engine, &crate::Accelerated::new(pure)] {
+                assert_eq!(engine.search(&genome, &guides, k).unwrap(), truth, "k={k}");
+            }
         }
     }
 }

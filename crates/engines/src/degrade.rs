@@ -1,9 +1,10 @@
 //! Graceful degradation for accelerator builds.
 //!
 //! The batched seed automaton and the PAM-anchor prefilter are
-//! *optimizations*: every engine that deploys them keeps a slower,
-//! unconditionally-correct path underneath (per-guide verification, the
-//! register machine, the plain window scan). A failure while building one
+//! *optimizations*: the [`crate::Accelerated`] front that deploys them
+//! (and CasOT, for its own anchor pass) keeps a slower,
+//! unconditionally-correct path underneath (the per-guide anchor pass,
+//! the pure engine, the plain window scan). A failure while building one
 //! of them — injected through a failpoint or real — therefore never needs
 //! to fail the search: the build runs behind an unwind fence and a
 //! failure simply selects the fallback path, counted in

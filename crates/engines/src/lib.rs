@@ -5,22 +5,29 @@
 //! | Engine | Stands in for | Algorithm |
 //! |---|---|---|
 //! | [`ScalarEngine`] | ground truth | per-window IUPAC scoring (slowest, obviously correct) |
-//! | [`CasOffinderCpuEngine`] | Cas-OFFinder (CPU side) | PAM-first check + 2-bit packed spacer compare with early exit |
+//! | [`CasOffinderCpuEngine`] | Cas-OFFinder (CPU side) | per-window PAM probe + 2-bit packed spacer compare with early exit |
 //! | [`CasotEngine`] | CasOT | PAM-anchored scan with seed/total mismatch split |
 //! | [`BitParallelEngine`] | HyperScan (single thread) | multi-pattern bit-parallel Hamming shift-and, k+1 registers |
 //! | [`NfaEngine`] | direct automata execution (what iNFAnt2 runs) | frontier simulation of the compiled mismatch automata |
 //! | [`DfaEngine`] | HyperScan's DFA mode | subset-constructed DFA scan (fails loudly past its state budget) |
-//! | [`PigeonholeEngine`] | index-based filtration tools | exact-seed q-gram filtration + verification |
 //! | [`IndelEngine`] / [`MyersMatcher`] | CasOT's indel mode | Myers bit-vector edit distance with PAM re-check |
+//! | [`Accelerated`] | the production front | multiseed → PAM-anchor → wrapped engine cascade |
 //!
 //! Every engine returns the same normalized [`crispr_guides::Hit`] set on the same
 //! inputs; the integration suite enforces this pairwise.
 //!
-//! One engine has a batched form: [`BitParallelEngine::batched`] compiles
-//! the whole guide set into the shared seed automaton of [`multiseed`],
-//! so one pass serves every guide, and falls back to the per-guide
-//! bit-parallel path when the set does not admit it. The baselines stay
-//! per-guide, in the form the paper compares against.
+//! The algorithm engines are kept in their pure form, as the paper
+//! compares them. The filters live in one separate front:
+//! [`Accelerated`] wraps a pure engine and deploys, in order, the shared
+//! seed automaton of [`multiseed`] (its [`Accelerated::batched`] form
+//! only, one pass serving every guide), the shared PAM-anchor prefilter
+//! (one bitwise anchor pass, see [`crispr_genome::pamindex`], with a
+//! packed verify at the candidates), and finally the wrapped engine's
+//! own scan — the first stage that applies to the guide set. Every stage
+//! returns the wrapped engine's hits, so the bare engine is the ablation
+//! baseline and the front is the production path. CasOT keeps its own
+//! anchor pass (its seed-split verify is not the shared packed verify),
+//! switched off by [`CasotEngine::without_prefilter`].
 //!
 //! Searches are split into a compile phase and a scan phase:
 //! [`Engine::prepare`] lowers guides × budget once into a reusable
@@ -32,26 +39,26 @@
 //! and cancel token of a [`ScanDeployment`], with per-chunk panic
 //! isolation at any thread count; [`run_search`] adds the one-time
 //! compile in front. Callers holding a cached compile call [`run_scan`]
-//! directly. Engines whose guide
-//! sets carry a selective PAM additionally front their scans with the
-//! shared PAM-anchor prefilter (see [`crispr_genome::pamindex`]); the
-//! `without_prefilter` constructors expose the unfiltered baselines.
+//! directly.
 //!
 //! ```
-//! use crispr_engines::{BitParallelEngine, Engine, ScalarEngine};
+//! use crispr_engines::{Accelerated, BitParallelEngine, Engine, ScalarEngine};
 //! use crispr_genome::synth::SynthSpec;
 //! use crispr_guides::genset;
 //!
 //! let genome = SynthSpec::new(20_000).seed(1).generate();
 //! let guides = genset::random_guides(2, 20, &crispr_guides::Pam::ngg(), 2);
-//! let fast = BitParallelEngine::new().search(&genome, &guides, 3)?;
+//! let pure = BitParallelEngine::new().search(&genome, &guides, 3)?;
+//! let fast = Accelerated::new(BitParallelEngine::new()).search(&genome, &guides, 3)?;
 //! let truth = ScalarEngine::new().search(&genome, &guides, 3)?;
+//! assert_eq!(pure, truth);
 //! assert_eq!(fast, truth);
 //! # Ok::<(), crispr_engines::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]
 
+mod accel;
 mod bitparallel;
 mod cancel;
 mod casot;
@@ -63,11 +70,11 @@ mod myers;
 mod naive;
 mod nfa;
 mod offdfa;
-mod pigeonhole;
 mod prefilter;
 mod scan;
 pub mod simd;
 
+pub use accel::Accelerated;
 pub use bitparallel::BitParallelEngine;
 pub use cancel::{CancelKind, CancelToken};
 pub use casot::CasotEngine;
@@ -82,7 +89,6 @@ pub use myers::{IndelEngine, MyersMatcher};
 pub use naive::CasOffinderCpuEngine;
 pub use nfa::{reports_to_hits, NfaEngine};
 pub use offdfa::DfaEngine;
-pub use pigeonhole::PigeonholeEngine;
 pub use scan::{
     run_scan, run_search, GenomeSource, Reference, ScanDeployment, DEFAULT_CHUNK_RETRIES,
 };

@@ -9,8 +9,8 @@
 //!
 //! 1. **Shared seed automaton.** Each pattern's counted (spacer) run is
 //!    split into `k + 1` pigeonhole fragments (a window within `k`
-//!    mismatches must match at least one fragment *exactly* — the same
-//!    guarantee [`crate::PigeonholeEngine`] uses per guide). The
+//!    mismatches must match at least one fragment *exactly* — the
+//!    pigeonhole principle of exact-seed filtration tools). The
 //!    fragments of *every* pattern are compiled together into one
 //!    multi-pattern exact matcher. Because fragments of one length form
 //!    an Aho–Corasick automaton whose every state is at depth `< len`,
@@ -128,7 +128,7 @@ impl RecentWindows {
 /// The compiled batched deployment for one pattern set: the shared seed
 /// automaton, the anchor groups it intersects with, and one packed
 /// verifier per pattern. Built once, scans any number of slices; the
-/// scan behind [`crate::BitParallelEngine::batched`].
+/// scan behind [`crate::Accelerated::batched`].
 #[derive(Debug)]
 pub struct MultiSeedScan {
     /// One table per distinct fragment length (at most two for evenly
@@ -588,9 +588,9 @@ impl MultiSeedScan {
     }
 }
 
-/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — what
-/// [`crate::BitParallelEngine::batched`] returns from `prepare` when the
-/// guide set admits the shared seed automaton.
+/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — the
+/// stage [`crate::Accelerated::batched`] deploys when the guide set
+/// admits the shared seed automaton.
 #[derive(Debug)]
 pub(crate) struct MultiSeedPrepared {
     scan: MultiSeedScan,

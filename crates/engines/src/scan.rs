@@ -564,11 +564,11 @@ fn drain(
 mod tests {
     use super::*;
     use crate::engine::test_support::planted_workload;
-    use crate::{BitParallelEngine, CasOffinderCpuEngine, ScalarEngine};
+    use crate::{Accelerated, BitParallelEngine, CasOffinderCpuEngine, ScalarEngine};
 
     /// `engine` over `genome` under `deployment`, metered into `m`.
-    fn scan<E: Engine>(
-        engine: &E,
+    fn scan(
+        engine: &dyn Engine,
         genome: &Genome,
         guides: &[Guide],
         k: usize,
@@ -579,8 +579,8 @@ mod tests {
     }
 
     /// [`scan`] with default metrics and the default retry budget.
-    fn scan_threads<E: Engine>(
-        engine: &E,
+    fn scan_threads(
+        engine: &dyn Engine,
         genome: &Genome,
         guides: &[Guide],
         k: usize,
@@ -593,10 +593,10 @@ mod tests {
     #[test]
     fn parallel_equals_serial_bitparallel() {
         let (genome, guides, _) = planted_workload(71, 3);
-        let serial = BitParallelEngine::new().search(&genome, &guides, 3).unwrap();
+        let engine = Accelerated::new(BitParallelEngine::new());
+        let serial = engine.search(&genome, &guides, 3).unwrap();
         for threads in [1, 2, 4, 7] {
-            let par =
-                scan_threads(&BitParallelEngine::new(), &genome, &guides, 3, threads).unwrap();
+            let par = scan_threads(&engine, &genome, &guides, 3, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -604,9 +604,13 @@ mod tests {
     #[test]
     fn parallel_equals_serial_brute_force() {
         let (genome, guides, _) = planted_workload(72, 2);
-        let serial = CasOffinderCpuEngine::new().search(&genome, &guides, 2).unwrap();
-        let par = scan_threads(&CasOffinderCpuEngine::new(), &genome, &guides, 2, 3).unwrap();
-        assert_eq!(par, serial);
+        for engine in [
+            &CasOffinderCpuEngine::new() as &dyn Engine,
+            &Accelerated::new(CasOffinderCpuEngine::new()),
+        ] {
+            let serial = engine.search(&genome, &guides, 2).unwrap();
+            assert_eq!(scan_threads(engine, &genome, &guides, 2, 3).unwrap(), serial);
+        }
     }
 
     #[test]
@@ -646,9 +650,9 @@ mod tests {
         let (genome, planted) =
             genset::plant_offtargets(straddling_genome(), &guides, &PlantPlan::uniform(3, 2), 96);
         let truth = ScalarEngine::new().search(&genome, &guides, 3).unwrap();
+        let engine = Accelerated::new(BitParallelEngine::new());
         for threads in [1, 2, 4, 9] {
-            let par =
-                scan_threads(&BitParallelEngine::new(), &genome, &guides, 3, threads).unwrap();
+            let par = scan_threads(&engine, &genome, &guides, 3, threads).unwrap();
             assert_eq!(par, truth, "threads={threads}");
             for hit in planted.iter().filter(|h| h.mismatches <= 3) {
                 assert!(par.binary_search(hit).is_ok(), "planted hit {hit} missing");
@@ -716,8 +720,9 @@ mod tests {
         let site_len = guides[0].site_len();
         let serial = {
             let mut m = SearchMetrics::default();
-            let hits =
-                BitParallelEngine::batched().search_metered(&genome, &guides, 3, &mut m).unwrap();
+            let hits = Accelerated::batched(BitParallelEngine::new())
+                .search_metered(&genome, &guides, 3, &mut m)
+                .unwrap();
             assert_eq!(hits, truth);
             m
         };
@@ -725,9 +730,8 @@ mod tests {
             for threads in [1, 3, 8] {
                 let deployment = ScanDeployment::new(threads).with_chunk_len(chunk_len);
                 let mut m = SearchMetrics::default();
-                let hits =
-                    scan(&BitParallelEngine::batched(), &genome, &guides, 3, &deployment, &mut m)
-                        .unwrap();
+                let engine = Accelerated::batched(BitParallelEngine::new());
+                let hits = scan(&engine, &genome, &guides, 3, &deployment, &mut m).unwrap();
                 assert_eq!(hits, truth, "chunk_len={chunk_len} threads={threads}");
                 assert!(hits.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
                 // Chunk windows partition contig windows exactly, so the
@@ -784,8 +788,9 @@ mod tests {
         // public driver. Results must match the engine's, and no compile
         // time may be charged to the scan.
         let (genome, guides, _) = planted_workload(82, 2);
-        let truth = BitParallelEngine::new().search(&genome, &guides, 2).unwrap();
-        let prepared = BitParallelEngine::new().prepare(&guides, 2).unwrap();
+        let engine = Accelerated::new(BitParallelEngine::new());
+        let truth = engine.search(&genome, &guides, 2).unwrap();
+        let prepared = engine.prepare(&guides, 2).unwrap();
         let index = GenomeIndex::build(&genome, 0).unwrap();
         for threads in [1, 3] {
             for source in [GenomeSource::Genome(&genome), GenomeSource::Index(&index)] {

@@ -6,7 +6,7 @@ use crate::resource::{
     estimate_design, estimate_design_replicated, plan_partitions, DesignEstimate,
 };
 use crate::FpgaSpec;
-use crispr_engines::{BitParallelEngine, Engine, EngineError};
+use crispr_engines::{Accelerated, BitParallelEngine, Engine, EngineError};
 use crispr_genome::Genome;
 use crispr_guides::{compile, CompileOptions, Guide, Hit};
 use crispr_model::TimingBreakdown;
@@ -109,7 +109,7 @@ impl FpgaSearch {
         }
 
         // Functional result: identical automaton semantics, computed fast.
-        let hits = BitParallelEngine::new().search(genome, guides, k)?;
+        let hits = Accelerated::new(BitParallelEngine::new()).search(genome, guides, k)?;
 
         let bytes = genome.total_len() as f64;
         let kernel_s: f64 = designs.iter().map(|d| bytes / d.throughput_bps).sum();

@@ -20,7 +20,7 @@
 //! idealized traffic count omits. See EXPERIMENTS.md.
 
 use crate::GpuSpec;
-use crispr_engines::{CasOffinderCpuEngine, Engine, EngineError};
+use crispr_engines::{Accelerated, CasOffinderCpuEngine, Engine, EngineError};
 use crispr_genome::Genome;
 use crispr_guides::{Guide, Hit};
 use crispr_model::TimingBreakdown;
@@ -89,7 +89,7 @@ impl CasOffinderGpuSearch {
         guides: &[Guide],
         k: usize,
     ) -> Result<CasOffinderGpuReport, EngineError> {
-        let hits = CasOffinderCpuEngine::new().search(genome, guides, k)?;
+        let hits = Accelerated::new(CasOffinderCpuEngine::new()).search(genome, guides, k)?;
 
         let windows = genome.total_len() as f64;
         let g = guides.len() as f64;

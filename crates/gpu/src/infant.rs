@@ -22,7 +22,7 @@
 use crate::GpuSpec;
 use crispr_automata::sim::Simulator;
 use crispr_automata::stats::AutomatonStats;
-use crispr_engines::{BitParallelEngine, Engine, EngineError};
+use crispr_engines::{Accelerated, BitParallelEngine, Engine, EngineError};
 use crispr_genome::Genome;
 use crispr_guides::{compile, CompileOptions, Guide, Hit};
 use crispr_model::TimingBreakdown;
@@ -121,7 +121,7 @@ impl Infant2Search {
         let kernel_s = bandwidth_bound.max(latency_bound);
 
         // Functional result: same automaton semantics, computed fast.
-        let hits = BitParallelEngine::new().search(genome, guides, k)?;
+        let hits = Accelerated::new(BitParallelEngine::new()).search(genome, guides, k)?;
 
         let timing = TimingBreakdown {
             config_s: self.spec.init_time_s,

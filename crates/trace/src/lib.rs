@@ -132,9 +132,10 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Interns a dynamic string, returning a `'static` reference. Used for
-/// rare, low-cardinality names (failpoint sites, degradation sites);
-/// the backing storage is leaked deliberately and deduplicated.
-fn intern(name: &str) -> &'static str {
+/// rare, low-cardinality names (failpoint sites, degradation sites,
+/// derived engine names); the backing storage is leaked deliberately
+/// and deduplicated.
+pub fn intern(name: &str) -> &'static str {
     static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let mut set = lock_unpoisoned(INTERNED.get_or_init(|| Mutex::new(HashSet::new())));
     match set.get(name) {

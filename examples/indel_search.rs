@@ -11,7 +11,7 @@
 //! cargo run --release --example indel_search
 //! ```
 
-use crispr_offtarget::engines::{BitParallelEngine, Engine, IndelEngine};
+use crispr_offtarget::engines::{Accelerated, BitParallelEngine, Engine, IndelEngine};
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::DnaSeq;
 use crispr_offtarget::guides::{Guide, Pam};
@@ -35,8 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("planted a 1-deletion (bulged) site at position {at}\n");
 
     // Mismatch-only search at k=3: the frameshift makes the site invisible.
-    let mismatch_hits =
-        BitParallelEngine::new().search(&genome, std::slice::from_ref(&guide), 3)?;
+    let mismatch_hits = Accelerated::new(BitParallelEngine::new()).search(
+        &genome,
+        std::slice::from_ref(&guide),
+        3,
+    )?;
     let seen = mismatch_hits.iter().any(|h| (h.pos as usize).abs_diff(at) <= 2);
     println!("mismatch search (k=3): {} hits, bulged site found: {}", mismatch_hits.len(), seen);
 

@@ -8,7 +8,9 @@
 //! multiseed meters. The parallel deployment must neither copy genome
 //! bytes nor change any work counter relative to the serial scan.
 
-use crispr_offtarget::engines::{run_search, BitParallelEngine, Engine, ScanDeployment};
+use crispr_offtarget::engines::{
+    run_search, Accelerated, BitParallelEngine, Engine, ScanDeployment,
+};
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::Genome;
 use crispr_offtarget::guides::genset::{self, PlantPlan};
@@ -45,8 +47,8 @@ fn run_on(
 #[test]
 fn batched_counters_are_consistent_with_per_guide() {
     let (genome, guides) = workload();
-    let (hits_pg, m_pg) = run(&BitParallelEngine::new(), &genome, &guides);
-    let (hits_b, m_b) = run(&BitParallelEngine::batched(), &genome, &guides);
+    let (hits_pg, m_pg) = run(&Accelerated::new(BitParallelEngine::new()), &genome, &guides);
+    let (hits_b, m_b) = run(&Accelerated::batched(BitParallelEngine::new()), &genome, &guides);
     assert_eq!(hits_b, hits_pg, "hit sets must be identical");
     // Both paths enumerate every window of every long-enough contig.
     assert_eq!(m_b.counters.windows_scanned, m_pg.counters.windows_scanned);
@@ -78,9 +80,10 @@ fn batched_counters_are_consistent_with_per_guide() {
 #[test]
 fn parallel_batched_preserves_counters_and_copies_nothing() {
     let (genome, guides) = workload();
-    let (serial_hits, serial_m) = run(&BitParallelEngine::batched(), &genome, &guides);
+    let batched = Accelerated::batched(BitParallelEngine::new());
+    let (serial_hits, serial_m) = run(&batched, &genome, &guides);
     for threads in [2, 5] {
-        let (par_hits, par_m) = run_on(&BitParallelEngine::batched(), &genome, &guides, threads);
+        let (par_hits, par_m) = run_on(&batched, &genome, &guides, threads);
         assert_eq!(par_hits, serial_hits, "threads={threads}");
         // Chunk windows partition the contig windows exactly, so every
         // work counter — including the multiseed meters — is invariant
@@ -102,8 +105,9 @@ fn parallel_batched_preserves_counters_and_copies_nothing() {
 #[test]
 fn parallel_per_guide_still_copies_nothing() {
     let (genome, guides) = workload();
-    for engine in [BitParallelEngine::new(), BitParallelEngine::without_prefilter()] {
-        let (_, m) = run_on(&engine, &genome, &guides, 3);
+    let pure = BitParallelEngine::new();
+    for engine in [&Accelerated::new(pure) as &dyn Engine, &pure] {
+        let (_, m) = run_on(engine, &genome, &guides, 3);
         assert_eq!(m.counters.bytes_copied, 0);
         assert_eq!(m.parallel.as_ref().expect("parallel stats").worker_phases.guide_compile_s, 0.0);
     }

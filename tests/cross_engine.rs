@@ -72,16 +72,13 @@ fn repeat_rich_genomes_do_not_break_agreement() {
 
 #[test]
 fn extension_engines_agree_with_reference() {
-    use crispr_offtarget::engines::{Engine, PigeonholeEngine, ScalarEngine};
+    use crispr_offtarget::engines::{Engine, ScalarEngine};
     use crispr_offtarget::guides::stride::StridedScan;
     use crispr_offtarget::guides::CompileOptions;
     let genome = SynthSpec::new(30_000).seed(151).generate();
     let guides = genset::random_guides(3, 20, &Pam::ngg(), 152);
     let (genome, _) = genset::plant_offtargets(genome, &guides, &PlantPlan::uniform(3, 2), 153);
     let truth = ScalarEngine::new().search(&genome, &guides, 3).unwrap();
-    // Pigeonhole filtration.
-    let ph = PigeonholeEngine::new().search(&genome, &guides, 3).unwrap();
-    assert_eq!(ph, truth);
     // 2-strided automata (§7 improvement) with host verification.
     let strided = StridedScan::compile(&guides, &CompileOptions::new(3)).unwrap();
     assert_eq!(strided.search(&genome), truth);
@@ -101,9 +98,8 @@ fn extension_engines_agree_with_reference() {
 
 mod differential {
     use crispr_offtarget::engines::{
-        run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
-        EngineError, NfaEngine, PigeonholeEngine, PreparedSearch, ScalarEngine, ScanDeployment,
-        SimdBackend,
+        run_search, Accelerated, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine,
+        Engine, EngineError, NfaEngine, PreparedSearch, ScalarEngine, ScanDeployment, SimdBackend,
     };
     use crispr_offtarget::genome::{Base, DnaSeq, Genome};
     use crispr_offtarget::guides::genset::{self, PlantPlan};
@@ -224,30 +220,28 @@ mod differential {
         (genome, guides, k)
     }
 
+    /// The batched production front.
+    fn batched() -> Accelerated<BitParallelEngine> {
+        Accelerated::batched(BitParallelEngine::new())
+    }
+
     /// Every engine variant under differential test. The DFA is included
     /// only at small budgets (it fails loudly past its state budget, which
     /// is expected, not a conformance bug); the parallel variants exercise
     /// the batched path under default and adversarially tight chunking.
     fn engine_variants(k: usize, site_len: usize) -> Vec<(&'static str, Box<dyn Engine>)> {
         let mut variants: Vec<(&'static str, Box<dyn Engine>)> = vec![
-            ("bitparallel", Box::new(BitParallelEngine::new())),
-            ("bitparallel-nofilter", Box::new(BitParallelEngine::without_prefilter())),
-            ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
-            ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
-            ("cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::without_prefilter())),
+            ("bitparallel", Box::new(Accelerated::new(BitParallelEngine::new()))),
+            ("bitparallel-nofilter", Box::new(BitParallelEngine::new())),
+            ("bitparallel-batched", Box::new(batched())),
+            ("cas-offinder", Box::new(Accelerated::new(CasOffinderCpuEngine::new()))),
+            ("cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::new())),
             ("casot", Box::new(CasotEngine::new())),
             ("casot-nofilter", Box::new(CasotEngine::new().without_prefilter())),
             ("nfa", Box::new(NfaEngine::new())),
-            ("pigeonhole", Box::new(PigeonholeEngine::new())),
-            ("parallel-batched", Deployed::new(BitParallelEngine::batched(), 4, None)),
-            (
-                "parallel-batched-chunk-minus-1",
-                Deployed::new(BitParallelEngine::batched(), 3, Some(site_len - 1)),
-            ),
-            (
-                "parallel-batched-chunk-plus-1",
-                Deployed::new(BitParallelEngine::batched(), 3, Some(site_len + 1)),
-            ),
+            ("parallel-batched", Deployed::new(batched(), 4, None)),
+            ("parallel-batched-chunk-minus-1", Deployed::new(batched(), 3, Some(site_len - 1))),
+            ("parallel-batched-chunk-plus-1", Deployed::new(batched(), 3, Some(site_len + 1))),
         ];
         // Forced-SIMD twins: every backend the host can run (the vector
         // ISA when present, and always the portable and scalar
@@ -261,11 +255,13 @@ mod differential {
                 SimdBackend::Avx2 => "bitparallel-batched-simd-avx2",
                 SimdBackend::Neon => "bitparallel-batched-simd-neon",
             };
-            variants.push((name, Box::new(BitParallelEngine::batched().with_simd(backend))));
+            variants.push((name, Box::new(batched().with_simd(backend))));
         }
         variants.push((
             "cas-offinder-simd-portable",
-            Box::new(CasOffinderCpuEngine::new().with_simd(SimdBackend::Portable)),
+            Box::new(
+                Accelerated::new(CasOffinderCpuEngine::new()).with_simd(SimdBackend::Portable),
+            ),
         ));
         variants.push((
             "casot-simd-portable",

@@ -21,8 +21,8 @@
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
-    run_search, BitParallelEngine, CasOffinderCpuEngine, Engine, ScalarEngine, ScanDeployment,
-    SearchError, DEFAULT_CHUNK_RETRIES,
+    run_search, Accelerated, BitParallelEngine, CasOffinderCpuEngine, Engine, ScalarEngine,
+    ScanDeployment, SearchError, DEFAULT_CHUNK_RETRIES,
 };
 use crispr_offtarget::failpoint::{self, FailScenario};
 use crispr_offtarget::genome::synth::SynthSpec;
@@ -64,7 +64,7 @@ fn quiet<T>(baseline: impl FnOnce() -> T) -> T {
 #[test]
 fn chunk_panics_heal_to_clean_hits_and_counters() {
     let (genome, guides) = workload(201, 2);
-    let engine = BitParallelEngine::new();
+    let engine = Accelerated::new(BitParallelEngine::new());
     // The inline single-thread drain heals exactly like the fan-out.
     for threads in [1, 4] {
         let mut clean_m = SearchMetrics::default();
@@ -103,7 +103,7 @@ fn chunk_panics_heal_to_clean_hits_and_counters() {
 #[test]
 fn chunk_error_faults_heal_like_panics() {
     let (genome, guides) = workload(211, 1);
-    let engine = CasOffinderCpuEngine::new();
+    let engine = Accelerated::new(CasOffinderCpuEngine::new());
     let retries = DEFAULT_CHUNK_RETRIES;
     let clean =
         quiet(|| scan(&engine, (&genome, &guides), 1, 3, retries, &mut SearchMetrics::default()))
@@ -126,7 +126,8 @@ fn exhausted_retries_report_partial_with_provenance() {
     // three times, then reported — never aborted, never silently dropped.
     let _scenario = FailScenario::setup("parallel.chunk=panic");
     let mut m = SearchMetrics::default();
-    let err = scan(&CasOffinderCpuEngine::new(), (&genome, &guides), 1, 3, 2, &mut m).unwrap_err();
+    let engine = Accelerated::new(CasOffinderCpuEngine::new());
+    let err = scan(&engine, (&genome, &guides), 1, 3, 2, &mut m).unwrap_err();
 
     assert!(err.is_partial());
     let SearchError::Partial { failures, chunks_total, hits } = err else {
@@ -170,7 +171,7 @@ fn persistent_faults_become_structured_partial_errors() {
 #[test]
 fn one_poisoned_chunk_still_recovers_the_rest() {
     let (genome, guides) = workload(203, 2);
-    let engine = BitParallelEngine::new();
+    let engine = Accelerated::new(BitParallelEngine::new());
     let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
 
     // Exactly one fire, no retries allowed: one chunk fails, every other
@@ -238,10 +239,13 @@ fn build_site_faults_degrade_instead_of_failing() {
     // (multiseed.build); the per-guide path owns the PAM-anchor
     // prefilter (prefilter.build). Either way the accelerator is an
     // optimization, so losing it must cost time, not hits.
-    let cases: [(&str, BitParallelEngine); 3] = [
-        ("multiseed.build=panic", BitParallelEngine::batched()),
-        ("prefilter.build=error", BitParallelEngine::new()),
-        ("multiseed.build=panic;prefilter.build=panic", BitParallelEngine::batched()),
+    let cases: [(&str, Accelerated<BitParallelEngine>); 3] = [
+        ("multiseed.build=panic", Accelerated::batched(BitParallelEngine::new())),
+        ("prefilter.build=error", Accelerated::new(BitParallelEngine::new())),
+        (
+            "multiseed.build=panic;prefilter.build=panic",
+            Accelerated::batched(BitParallelEngine::new()),
+        ),
     ];
     for (spec, engine) in cases {
         let _scenario = FailScenario::setup(spec);
@@ -250,6 +254,99 @@ fn build_site_faults_degrade_instead_of_failing() {
         assert_eq!(hits, truth, "degraded run must still match the oracle ({spec})");
         assert!(m.counters.degraded_paths > 0, "degradation is counted ({spec})");
         assert!(m.counters.faults_injected > 0, "fault is metered ({spec})");
+    }
+}
+
+/// The stage the accelerator front is expected to deploy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    /// The shared seed automaton (batched front only).
+    MultiSeed,
+    /// The PAM-anchor prefilter.
+    Anchored,
+    /// The wrapped engine itself.
+    Pure,
+}
+
+/// The differential contract of the accelerator front: whichever stage
+/// the cascade lands on — seed automaton, PAM anchor, or the wrapped
+/// engine after an unanchorable guide set or a failed build — the hits
+/// are the pure engine's, `windows_scanned` is the pure Cas-OFFinder
+/// scan's, and `degraded_paths` counts exactly the injected builds. The
+/// anchor stage is PAM-exact, so every counter it keeps equals the pure
+/// Cas-OFFinder scan's; a fallback keeps the wrapped engine's counters;
+/// the seed automaton only removes anchor work.
+#[test]
+fn accelerator_front_matches_its_pure_engine() {
+    use Stage::{Anchored, MultiSeed, Pure};
+    // Sites are planted up to 2 mismatches and searched at k = 1, so the
+    // budget boundary itself is under test.
+    let (genome, ngg) = workload(212, 2);
+    let pamless: Vec<Guide> =
+        ngg.iter().map(|g| Guide::new(g.id(), g.spacer().clone(), Pam::none()).unwrap()).collect();
+    let hyperscan = BitParallelEngine::new();
+    let cas_offinder = CasOffinderCpuEngine::new();
+    let fronts: [(&str, &dyn Engine, &dyn Engine); 3] = [
+        ("hyperscan", &Accelerated::new(hyperscan), &hyperscan),
+        ("cas-offinder", &Accelerated::new(cas_offinder), &cas_offinder),
+        ("hyperscan-batched", &Accelerated::batched(hyperscan), &hyperscan),
+    ];
+    // (front, anchorable guides?, spec, expected stage, injected builds)
+    let cases = [
+        ("hyperscan", true, "", Anchored, 0),
+        ("hyperscan", true, "prefilter.build=error", Pure, 1),
+        ("hyperscan", false, "", Pure, 0),
+        ("hyperscan", false, "prefilter.build=error", Pure, 1),
+        ("cas-offinder", true, "", Anchored, 0),
+        ("cas-offinder", true, "prefilter.build=error", Pure, 1),
+        ("cas-offinder", false, "", Pure, 0),
+        ("cas-offinder", false, "prefilter.build=error", Pure, 1),
+        ("hyperscan-batched", true, "", MultiSeed, 0),
+        ("hyperscan-batched", true, "prefilter.build=error", MultiSeed, 0),
+        ("hyperscan-batched", true, "multiseed.build=panic", Anchored, 1),
+        ("hyperscan-batched", true, "multiseed.build=panic;prefilter.build=error", Pure, 2),
+        ("hyperscan-batched", false, "", Pure, 0),
+        ("hyperscan-batched", false, "multiseed.build=panic", Pure, 1),
+    ];
+    let run = |engine: &dyn Engine, guides: &[Guide]| {
+        let mut m = SearchMetrics::default();
+        let hits = engine.search_metered(&genome, guides, 1, &mut m).unwrap();
+        (hits, m)
+    };
+    for (front_name, anchorable, spec, stage, injected) in cases {
+        let (_, front, pure) = fronts.iter().find(|(name, ..)| *name == front_name).unwrap();
+        let guides = if anchorable { &ngg } else { &pamless };
+        let (pure_hits, pure_m, cas_m) = quiet(|| {
+            let (hits, m) = run(*pure, guides);
+            assert_eq!(hits, ScalarEngine::new().search(&genome, guides, 1).unwrap());
+            (hits, m, run(&cas_offinder, guides).1)
+        });
+        let case = format!("{front_name}, anchorable={anchorable}, {spec:?}");
+
+        let _scenario = FailScenario::setup(spec);
+        let (hits, m) = run(*front, guides);
+        assert_eq!(hits, pure_hits, "{case}: hits");
+        assert_eq!(m.counters.degraded_paths, injected, "{case}: degraded_paths");
+        assert_eq!(m.counters.faults_injected, injected, "{case}: faults_injected");
+        let mut counters = m.counters;
+        counters.degraded_paths = 0;
+        counters.faults_injected = 0;
+        assert_eq!(counters.windows_scanned, cas_m.counters.windows_scanned, "{case}: windows");
+        match stage {
+            MultiSeed => {
+                assert!(counters.multiseed_candidates > 0, "{case}: seed stage ran");
+                assert!(counters.pam_anchors_tested <= cas_m.counters.pam_anchors_tested, "{case}");
+            }
+            Anchored => {
+                assert_eq!(counters, cas_m.counters, "{case}: anchor stage counters");
+                let rate = m.gauge("anchor_rate").expect("anchor gauge");
+                assert!((rate - 0.125).abs() < 1e-12, "{case}: NGG anchor rate {rate}");
+            }
+            Pure => {
+                assert_eq!(counters, pure_m.counters, "{case}: fallback counters");
+                assert_eq!(m.gauge("anchor_rate"), None, "{case}: no anchor gauge");
+            }
+        }
     }
 }
 
@@ -324,7 +421,7 @@ fn rotating_seed_probabilistic_faults_heal() {
     let seed: u64 =
         std::env::var("FAULT_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0xFA017);
     let (genome, guides) = workload(207, 2);
-    let engine = BitParallelEngine::new();
+    let engine = Accelerated::new(BitParallelEngine::new());
     let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
 
     let _scenario = FailScenario::setup(&format!("parallel.chunk=panic:0.3,{seed},6"));
@@ -340,9 +437,9 @@ fn rotating_seed_probabilistic_faults_heal() {
 fn retry_budget_zero_is_fail_fast_but_still_structured() {
     let (genome, guides) = workload(206, 1);
     let _scenario = FailScenario::setup("parallel.chunk=error");
+    let engine = Accelerated::new(BitParallelEngine::new());
     let err =
-        scan(&BitParallelEngine::new(), (&genome, &guides), 1, 2, 0, &mut SearchMetrics::default())
-            .unwrap_err();
+        scan(&engine, (&genome, &guides), 1, 2, 0, &mut SearchMetrics::default()).unwrap_err();
     let SearchError::Partial { failures, .. } = err else { panic!("expected Partial") };
     assert!(failures.iter().all(|f| f.attempts == 1), "no retries at budget zero");
 }

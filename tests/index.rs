@@ -13,7 +13,7 @@
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
-    run_search, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ScanDeployment,
+    run_search, BitParallelEngine, CasOffinderCpuEngine, Engine, ScanDeployment,
 };
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
@@ -70,6 +70,11 @@ fn scan_index(
     run_search(engine, guides, 2, index.into(), &deployment, m).unwrap()
 }
 
+/// The production engine of a CPU platform.
+fn cpu(platform: Platform) -> Box<dyn Engine> {
+    platform.cpu_engine().expect("a measured CPU platform")
+}
+
 /// Gauges with the index-provenance entries (present only on indexed
 /// runs) removed, for direct-vs-indexed comparison.
 fn non_index_gauges(m: &SearchMetrics) -> Vec<(String, f64)> {
@@ -81,11 +86,12 @@ fn indexed_scan_is_bit_identical_across_engines() {
     let (genome, guides) = workload();
     let index = opened_index(&genome, "engines");
     let engines: Vec<(&str, Box<dyn Engine>)> = vec![
-        ("bitparallel", Box::new(BitParallelEngine::new())),
-        ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
-        ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
-        ("cas-offinder-unfiltered", Box::new(CasOffinderCpuEngine::without_prefilter())),
-        ("casot", Box::new(CasotEngine::new())),
+        ("bitparallel", cpu(Platform::CpuBitParallel)),
+        ("bitparallel-unfiltered", Box::new(BitParallelEngine::new())),
+        ("bitparallel-batched", cpu(Platform::CpuBitParallelBatched)),
+        ("cas-offinder", cpu(Platform::CpuCasOffinder)),
+        ("cas-offinder-unfiltered", Box::new(CasOffinderCpuEngine::new())),
+        ("casot", cpu(Platform::CpuCasot)),
     ];
     for (name, engine) in engines {
         let mut direct_m = SearchMetrics::default();
@@ -105,8 +111,8 @@ fn shard_streaming_preserves_hits_and_window_counters() {
     let (genome, guides) = workload();
     let index = opened_index(&genome, "shards");
     for (name, engine) in [
-        ("bitparallel", BitParallelEngine::new().boxed()),
-        ("cas-offinder", CasOffinderCpuEngine::new().boxed()),
+        ("bitparallel", cpu(Platform::CpuBitParallel)),
+        ("cas-offinder", cpu(Platform::CpuCasOffinder)),
     ] {
         let mut whole_m = SearchMetrics::default();
         let whole = scan_index(engine.as_ref(), &index, None, &guides, &mut whole_m);
@@ -129,18 +135,6 @@ fn shard_streaming_preserves_hits_and_window_counters() {
             normalized.bit_steps = whole_m.counters.bit_steps;
             assert_eq!(whole_m.counters, normalized, "{name}: counters differ at shard={shard}");
         }
-    }
-}
-
-/// `Engine` is not object-safe-free here — a tiny helper to unify the
-/// concrete engine types in the shard sweep.
-trait Boxed {
-    fn boxed(self) -> Box<dyn Engine>;
-}
-
-impl<E: Engine + 'static> Boxed for E {
-    fn boxed(self) -> Box<dyn Engine> {
-        Box::new(self)
     }
 }
 
@@ -259,11 +253,11 @@ fn read_fallback_agrees_with_mmap() {
     let mapped = GenomeIndex::open(&path).unwrap();
     let owned = GenomeIndex::from_bytes(std::fs::read(&path).unwrap()).unwrap();
     assert!(!owned.mapped(), "from_bytes never maps");
-    let engine = BitParallelEngine::new();
+    let engine = cpu(Platform::CpuBitParallel);
     let mut mapped_m = SearchMetrics::default();
     let mut owned_m = SearchMetrics::default();
-    let from_mapped = scan_index(&engine, &mapped, None, &guides, &mut mapped_m);
-    let from_owned = scan_index(&engine, &owned, None, &guides, &mut owned_m);
+    let from_mapped = scan_index(engine.as_ref(), &mapped, None, &guides, &mut mapped_m);
+    let from_owned = scan_index(engine.as_ref(), &owned, None, &guides, &mut owned_m);
     assert_eq!(from_mapped, from_owned);
     assert_eq!(mapped_m.counters, owned_m.counters);
 }

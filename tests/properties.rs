@@ -3,7 +3,8 @@
 
 use crispr_offtarget::automata::{anml, sim};
 use crispr_offtarget::engines::{
-    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, NfaEngine, ScalarEngine,
+    Accelerated, BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, NfaEngine,
+    ScalarEngine,
 };
 use crispr_offtarget::genome::{Base, DnaSeq, Genome, PackedSeq};
 use crispr_offtarget::guides::{compile, CompileOptions, Guide, Pam};
@@ -61,9 +62,9 @@ proptest! {
         let genome = Genome::from_seq(text);
         let guides = vec![g];
         let truth = ScalarEngine::new().search(&genome, &guides, k).unwrap();
-        let bp = BitParallelEngine::new().search(&genome, &guides, k).unwrap();
+        let bp = Accelerated::new(BitParallelEngine::new()).search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bp, &truth);
-        let bf = CasOffinderCpuEngine::new().search(&genome, &guides, k).unwrap();
+        let bf = Accelerated::new(CasOffinderCpuEngine::new()).search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bf, &truth);
         let co = CasotEngine::new().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&co, &truth);
@@ -154,21 +155,21 @@ proptest! {
         genome.add_contig("stub", stub).unwrap();
         let guides = vec![g];
         let truth = ScalarEngine::new().search(&genome, &guides, k).unwrap();
-        let bp = BitParallelEngine::new().search(&genome, &guides, k).unwrap();
+        let bp = Accelerated::new(BitParallelEngine::new()).search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bp, &truth);
-        let bf = CasOffinderCpuEngine::new().search(&genome, &guides, k).unwrap();
+        let bf = Accelerated::new(CasOffinderCpuEngine::new()).search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bf, &truth);
         let co = CasotEngine::new().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&co, &truth);
-        // And each ablated (unfiltered) twin returns the same hits.
-        let bp0 = BitParallelEngine::without_prefilter().search(&genome, &guides, k).unwrap();
+        // And each ablated (unfiltered) baseline returns the same hits.
+        let bp0 = BitParallelEngine::new().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bp0, &truth);
-        let bf0 = CasOffinderCpuEngine::without_prefilter().search(&genome, &guides, k).unwrap();
+        let bf0 = CasOffinderCpuEngine::new().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bf0, &truth);
         let co0 = CasotEngine::new().without_prefilter().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&co0, &truth);
         // As does the batched (shared seed automaton) engine.
-        let bpb = BitParallelEngine::batched().search(&genome, &guides, k).unwrap();
+        let bpb = Accelerated::batched(BitParallelEngine::new()).search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bpb, &truth);
     }
 
@@ -191,9 +192,9 @@ proptest! {
         let guides = vec![g];
         let one = ScanDeployment::new(1);
         for engine in [
-            &BitParallelEngine::new() as &dyn Engine,
-            &BitParallelEngine::batched(),
-            &CasOffinderCpuEngine::new(),
+            &Accelerated::new(BitParallelEngine::new()) as &dyn Engine,
+            &Accelerated::batched(BitParallelEngine::new()),
+            &Accelerated::new(CasOffinderCpuEngine::new()),
             &CasotEngine::new(),
             &ScalarEngine::new(),
         ] {
@@ -268,7 +269,7 @@ proptest! {
         let genome_b = Genome::from_seq(text_b);
         let guides = vec![g];
         let one = ScanDeployment::new(1);
-        let engine = BitParallelEngine::batched();
+        let engine = Accelerated::batched(BitParallelEngine::new());
         let prepared = engine.prepare(&guides, k).unwrap();
         let mut m = SearchMetrics::default();
         // Interleave: a, b, then a again — the third scan must reproduce
@@ -364,7 +365,9 @@ proptest! {
     ) {
         use crispr_offtarget::guides::SitePattern;
         let genome = Genome::from_seq(text);
-        let hits = BitParallelEngine::new().search(&genome, std::slice::from_ref(&g), k).unwrap();
+        let hits = Accelerated::new(BitParallelEngine::new())
+            .search(&genome, std::slice::from_ref(&g), k)
+            .unwrap();
         for hit in hits {
             let pattern = SitePattern::from_guide(&g, hit.strand);
             let contig = &genome.contigs()[hit.contig as usize];
