@@ -9,6 +9,8 @@
 //!   platform and producing a [`SearchReport`] of exact hits plus a
 //!   [`crispr_model::TimingBreakdown`] (wall-clock for CPU engines,
 //!   modeled for accelerators).
+//! * [`HitWriter`] — the one serializer of hit rows (TSV and the JSON
+//!   `hits` array), shared by the CLI and the serve daemon.
 //! * [`validate`] — cross-platform equivalence checking (experiment E9):
 //!   every platform must report the identical hit set.
 //!
@@ -32,11 +34,13 @@
 
 #![warn(missing_docs)]
 
+mod output;
 mod platform;
 mod report;
 mod search;
 pub mod validate;
 
+pub use output::HitWriter;
 pub use platform::Platform;
-pub use report::SearchReport;
+pub use report::{SearchReport, Stop};
 pub use search::OffTargetSearch;

@@ -1,16 +1,20 @@
 use crate::Platform;
-use crispr_engines::ChunkFailure;
+use crispr_engines::{ChunkFailure, SearchError};
 use crispr_guides::Hit;
 use crispr_model::{SearchMetrics, TimingBreakdown};
 
-/// The outcome of one [`crate::OffTargetSearch`] run.
+/// The outcome of one search run, complete or not.
 ///
-/// A report may be *partial*: the pipeline survived, but some genome
-/// chunks exhausted their retry budget. The recovered hits and full
-/// metrics are still here — the partial-results contract — with the
-/// per-chunk provenance in [`SearchReport::chunk_failures`]. Callers
-/// that must not act on incomplete data branch on
-/// [`SearchReport::is_partial`].
+/// A report may be incomplete in two ways, and keeps the recovered hits
+/// and full metrics in both:
+/// * *partial* — some genome chunks exhausted their retry budget; the
+///   per-chunk provenance is in [`SearchReport::chunk_failures`];
+/// * *stopped* — a cancel token (manual trip or deadline) stopped the
+///   scan before every chunk ran; [`SearchReport::stopped`] says how far
+///   it got.
+///
+/// Callers that must not act on incomplete data branch on
+/// [`SearchReport::is_partial`], which covers both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchReport {
     platform: Platform,
@@ -21,37 +25,66 @@ pub struct SearchReport {
     k: usize,
     chunk_failures: Vec<ChunkFailure>,
     chunks_total: u64,
+    stop: Option<Stop>,
+}
+
+/// How far a stopped run got before its cancel token tripped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stop {
+    /// `true` when the armed deadline passed, `false` for a manual trip.
+    pub deadline: bool,
+    /// Chunks scanned to completion before the trip was observed.
+    pub chunks_scanned: u64,
+    /// Total chunks the run would have scanned (0 when the token had
+    /// already tripped before the run started).
+    pub chunks_total: u64,
 }
 
 impl SearchReport {
-    pub(crate) fn new(
+    /// Builds the report of one run from the scan driver's outcome — the
+    /// one place the incomplete-run contract is decoded. `Ok` is a
+    /// complete run; [`SearchError::Partial`] becomes a partial report and
+    /// [`SearchError::Cancelled`] / [`SearchError::DeadlineExceeded`] a
+    /// stopped one, each keeping the recovered hits and `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// Every other [`SearchError`], unchanged: those runs produced no
+    /// hit set at all.
+    pub fn from_scan(
         platform: Platform,
-        hits: Vec<Hit>,
+        outcome: Result<Vec<Hit>, SearchError>,
         metrics: SearchMetrics,
         genome_len: usize,
         guide_count: usize,
         k: usize,
-    ) -> SearchReport {
-        SearchReport {
+    ) -> Result<SearchReport, SearchError> {
+        let mut report = SearchReport {
             platform,
-            hits,
+            hits: Vec::new(),
             metrics,
             genome_len,
             guide_count,
             k,
             chunk_failures: Vec::new(),
             chunks_total: 0,
+            stop: None,
+        };
+        match outcome {
+            Ok(hits) => report.hits = hits,
+            Err(SearchError::Partial { failures, chunks_total, hits }) => {
+                report.hits = hits;
+                report.chunk_failures = failures;
+                report.chunks_total = chunks_total;
+            }
+            Err(e) => {
+                let (hits, chunks_scanned, chunks_total, deadline) = e.into_cancelled()?;
+                report.hits = hits;
+                report.chunks_total = chunks_total;
+                report.stop = Some(Stop { deadline, chunks_scanned, chunks_total });
+            }
         }
-    }
-
-    pub(crate) fn with_failures(
-        mut self,
-        failures: Vec<ChunkFailure>,
-        chunks_total: u64,
-    ) -> SearchReport {
-        self.chunk_failures = failures;
-        self.chunks_total = chunks_total;
-        self
+        Ok(report)
     }
 
     /// The platform that produced this report.
@@ -104,23 +137,31 @@ impl SearchReport {
         crispr_model::throughput_mbps(self.genome_len, self.timing().kernel_s)
     }
 
-    /// Whether this report is partial: some chunks failed every retry and
-    /// [`SearchReport::hits`] covers only the chunks that survived.
+    /// Whether the hit set is incomplete: some chunks failed every retry
+    /// (see [`SearchReport::chunk_failures`]) or the run was stopped (see
+    /// [`SearchReport::stopped`]), so [`SearchReport::hits`] covers only
+    /// the chunks that completed.
     pub fn is_partial(&self) -> bool {
-        !self.chunk_failures.is_empty()
+        !self.chunk_failures.is_empty() || self.stop.is_some()
     }
 
     /// Provenance of every chunk that exhausted its retry budget, sorted
-    /// by genome position; empty for a complete run.
+    /// by genome position; empty for a complete or stopped run.
     pub fn chunk_failures(&self) -> &[ChunkFailure] {
         &self.chunk_failures
     }
 
     /// Total chunks the deployment enqueued when this report is partial
-    /// (zero for a complete run — chunk accounting lives in
+    /// or stopped (zero for a complete run — chunk accounting lives in
     /// [`SearchReport::metrics`] there).
     pub fn chunks_total(&self) -> u64 {
         self.chunks_total
+    }
+
+    /// How far the run got when a cancel token stopped it; `None` for a
+    /// run that was not stopped.
+    pub fn stopped(&self) -> Option<Stop> {
+        self.stop
     }
 }
 
@@ -132,7 +173,9 @@ mod tests {
     fn accessors_roundtrip() {
         let timing = TimingBreakdown { kernel_s: 2.0, ..TimingBreakdown::default() };
         let metrics = SearchMetrics::from_timing("scalar-reference", &timing);
-        let report = SearchReport::new(Platform::CpuScalar, Vec::new(), metrics, 4_000_000, 5, 3);
+        let report =
+            SearchReport::from_scan(Platform::CpuScalar, Ok(Vec::new()), metrics, 4_000_000, 5, 3)
+                .unwrap();
         assert_eq!(report.platform(), Platform::CpuScalar);
         assert!(report.hits().is_empty());
         assert_eq!(report.guide_count(), 5);
@@ -141,5 +184,65 @@ mod tests {
         assert_eq!(report.metrics().engine, "scalar-reference");
         assert!((report.kernel_throughput_mbps() - 2.0).abs() < 1e-9);
         assert!(report.into_hits().is_empty());
+    }
+
+    #[test]
+    fn incomplete_outcomes_keep_their_hits_and_metrics() {
+        let hit = Hit {
+            contig: 0,
+            pos: 7,
+            guide: 0,
+            strand: crispr_genome::Strand::Forward,
+            mismatches: 1,
+        };
+        let map = |outcome| {
+            let metrics = SearchMetrics { engine: "probe".into(), ..SearchMetrics::default() };
+            SearchReport::from_scan(Platform::CpuScalar, outcome, metrics, 100, 1, 2)
+        };
+
+        let complete = map(Ok(vec![hit])).unwrap();
+        assert!(!complete.is_partial() && complete.stopped().is_none());
+
+        let failure = ChunkFailure {
+            contig: 0,
+            contig_name: "chr1".into(),
+            start: 0,
+            len: 50,
+            attempts: 1,
+            cause: "injected".into(),
+        };
+        let partial = map(Err(SearchError::Partial {
+            failures: vec![failure.clone()],
+            chunks_total: 4,
+            hits: vec![hit],
+        }))
+        .unwrap();
+        assert!(partial.is_partial() && partial.stopped().is_none());
+        assert_eq!((partial.chunk_failures(), partial.chunks_total()), (&[failure][..], 4));
+        assert_eq!((partial.hits(), partial.metrics().engine.as_str()), (&[hit][..], "probe"));
+
+        for (error, deadline) in [
+            (SearchError::Cancelled { chunks_scanned: 1, chunks_total: 3, hits: vec![hit] }, false),
+            (
+                SearchError::DeadlineExceeded {
+                    chunks_scanned: 1,
+                    chunks_total: 3,
+                    hits: vec![hit],
+                },
+                true,
+            ),
+        ] {
+            let stopped = map(Err(error)).unwrap();
+            assert!(stopped.is_partial() && stopped.chunk_failures().is_empty());
+            assert_eq!(
+                stopped.stopped(),
+                Some(Stop { deadline, chunks_scanned: 1, chunks_total: 3 })
+            );
+            assert_eq!(stopped.chunks_total(), 3);
+            assert_eq!((stopped.hits(), stopped.metrics().engine.as_str()), (&[hit][..], "probe"));
+        }
+
+        let failed = map(Err(SearchError::Unsupported("no".into())));
+        assert!(matches!(failed, Err(SearchError::Unsupported(_))));
     }
 }

@@ -1,6 +1,6 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
-    run_search, CancelToken, Engine, EngineError, Reference, ScanDeployment, SearchError,
+    run_search, CancelToken, EngineError, Reference, ScanDeployment, SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
@@ -125,11 +125,12 @@ impl OffTargetSearch {
 
     /// Arms a cooperative [`CancelToken`] for the run: CPU platforms poll
     /// it at every chunk boundary, so a manual trip or an
-    /// expired deadline stops the scan within one chunk-scan and
-    /// surfaces as [`SearchError::Cancelled`] /
-    /// [`SearchError::DeadlineExceeded`] carrying the hits recovered
-    /// from completed chunks. The modeled accelerators check only
-    /// between phases (their kernels are closed-form models).
+    /// expired deadline stops the scan within one chunk-scan. The run
+    /// still returns `Ok`: the report is *stopped*
+    /// ([`SearchReport::stopped`]) and carries the hits recovered from
+    /// completed chunks with full metrics. The modeled accelerators
+    /// check only before they start (their kernels are closed-form
+    /// models).
     pub fn cancel_token(mut self, cancel: CancelToken) -> OffTargetSearch {
         self.deployment.cancel = cancel;
         self
@@ -144,84 +145,31 @@ impl OffTargetSearch {
 
     /// Executes the search.
     ///
-    /// A run in which some chunks failed every retry still returns `Ok`:
-    /// the report carries the recovered hits and full metrics, with the
-    /// failure provenance in
-    /// [`SearchReport::chunk_failures`] — check
+    /// An incomplete run still returns `Ok`, with the recovered hits and
+    /// full metrics (see [`SearchReport::from_scan`]): a run in which
+    /// some chunks failed every retry carries the failure provenance in
+    /// [`SearchReport::chunk_failures`], and a run its cancel token
+    /// stopped — including a token already tripped at the start — says
+    /// how far it got in [`SearchReport::stopped`]. Check
     /// [`SearchReport::is_partial`] before treating the hit set as
-    /// complete. (This is the partial-results contract the CLI's exit
-    /// code 3 and the serve layer's 206 responses are built on.)
+    /// complete. (This is the contract the CLI's exit codes 3 and 4 and
+    /// the serve layer's 206 and 504 responses are built on.)
     ///
     /// # Errors
     ///
     /// Guide-validation, compilation, or platform-capacity errors from the
     /// selected backend.
     pub fn run(&self) -> Result<SearchReport, EngineError> {
+        let mut metrics = SearchMetrics::default();
         // A token already tripped when the run starts (deadline in the
-        // past, client gone) fails fast before any compile or unpack
+        // past, client gone) stops it before any compile or unpack
         // work — this is also the only cancellation point the modeled
         // accelerators get, since their kernels are closed-form models.
-        if let Err(kind) = self.deployment.cancel.check() {
-            return Err(SearchError::from_cancel(kind, Vec::new(), 0, 0));
-        }
-        // Modeled accelerators consume a byte-per-base genome; an indexed
-        // run materializes it here (once) and charges the unpack below.
-        let modeled_genome =
-            if self.platform.is_modeled() { Some(self.materialized()?) } else { None };
-        let (hits, mut metrics, partial) = match self.platform {
-            Platform::Ap => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_ap::ApSearch::new().run(genome, &self.guides, self.k)?;
-                let mut m = SearchMetrics::from_timing("ap-modeled", &report.timing);
-                m.counters.raw_hits = report.hits.len() as u64;
-                m.set_gauge("streams", report.streams as f64);
-                m.set_gauge("passes", report.passes as f64);
-                m.set_gauge("stall_cycles", report.stall_cycles as f64);
-                m.set_gauge("chips_used", report.placement.chips_used as f64);
-                m.set_gauge("stes_used", report.placement.stes_used as f64);
-                m.set_gauge("ste_utilization", report.placement.utilization);
-                (report.hits, m, None)
-            }
-            Platform::Fpga => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_fpga::FpgaSearch::new().run(genome, &self.guides, self.k)?;
-                let mut m = SearchMetrics::from_timing("fpga-modeled", &report.timing);
-                m.counters.raw_hits = report.hits.len() as u64;
-                m.set_gauge("passes", report.passes as f64);
-                m.set_gauge("designs", report.designs.len() as f64);
-                if let Some(d) = report.designs.first() {
-                    m.set_gauge("instances", d.instances as f64);
-                    m.set_gauge("clock_hz", d.clock_hz);
-                    m.set_gauge("lut_utilization", d.utilization);
-                }
-                (report.hits, m, None)
-            }
-            Platform::GpuInfant2 => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_gpu::Infant2Search::new().run(genome, &self.guides, self.k)?;
-                let mut m = SearchMetrics::from_timing("gpu-infant2-modeled", &report.timing);
-                m.counters.raw_hits = report.hits.len() as u64;
-                m.set_gauge("mean_active_states", report.mean_active);
-                m.set_gauge("bytes_per_symbol", report.bytes_per_symbol);
-                (report.hits, m, None)
-            }
-            Platform::GpuCasOffinder => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report =
-                    crispr_gpu::CasOffinderGpuSearch::new().run(genome, &self.guides, self.k)?;
-                let mut m = SearchMetrics::from_timing("gpu-cas-offinder-modeled", &report.timing);
-                m.counters.raw_hits = report.hits.len() as u64;
-                m.set_gauge("kernel_bytes", report.kernel_bytes);
-                (report.hits, m, None)
-            }
-            cpu => self.run_cpu(
-                cpu.cpu_engine().expect("every measured platform has a CPU engine").as_ref(),
-            )?,
+        let outcome = match self.deployment.cancel.check() {
+            Err(kind) => Err(SearchError::from_cancel(kind, Vec::new(), 0, 0)),
+            Ok(()) => self.scan(&mut metrics),
         };
         metrics.counters.degraded_paths += self.input_degradations;
-        if let Some((_, unpack_s)) = &modeled_genome {
-            metrics.phases.genome_load_s += unpack_s;
-        }
         match &self.reference {
             Reference::Index(index) => {
                 metrics.set_gauge("index_cache", 1.0);
@@ -237,44 +185,80 @@ impl OffTargetSearch {
                 }
             }
         }
-        let report = SearchReport::new(
+        SearchReport::from_scan(
             self.platform,
-            hits,
+            outcome,
             metrics,
             self.reference.source().total_len(),
             self.guides.len(),
             self.k,
-        );
-        Ok(match partial {
-            Some((failures, chunks_total)) => report.with_failures(failures, chunks_total),
-            None => report,
-        })
+        )
     }
 
-    /// Runs a CPU engine through the one scan driver with full metering:
-    /// guide compilation lands in the config bucket once, the scan in the
-    /// kernel bucket, whatever the thread count or genome source (see
-    /// DESIGN.md §7.1).
-    ///
-    /// A partial outcome (some chunks failed every retry) is *not* an
-    /// error at this level: the driver delivers the recovered hits inside
-    /// [`SearchError::Partial`] and fully populates `metrics` before
-    /// returning, so the partial branch unwraps both and hands the
-    /// failure provenance up for the report.
-    #[allow(clippy::type_complexity)]
-    fn run_cpu(
-        &self,
-        engine: &dyn Engine,
-    ) -> Result<(Vec<Hit>, SearchMetrics, Option<PartialOutcome>), EngineError> {
-        let mut metrics = SearchMetrics::default();
-        let source = self.reference.source();
-        match run_search(engine, &self.guides, self.k, source, &self.deployment, &mut metrics) {
-            Ok(hits) => Ok((hits, metrics, None)),
-            Err(SearchError::Partial { failures, chunks_total, hits }) => {
-                Ok((hits, metrics, Some((failures, chunks_total))))
-            }
-            Err(e) => Err(e),
+    /// Runs the selected platform into `metrics`. CPU engines go through
+    /// the one scan driver with full metering: guide compilation lands in
+    /// the config bucket once, the scan in the kernel bucket, whatever the
+    /// thread count or genome source (see DESIGN.md §7.1). The modeled
+    /// accelerators consume a byte-per-base genome; an indexed run
+    /// materializes it here (once) and charges the unpack to
+    /// `genome_load_s`.
+    fn scan(&self, metrics: &mut SearchMetrics) -> Result<Vec<Hit>, SearchError> {
+        if let Some(engine) = self.platform.cpu_engine() {
+            let source = self.reference.source();
+            return run_search(
+                engine.as_ref(),
+                &self.guides,
+                self.k,
+                source,
+                &self.deployment,
+                metrics,
+            );
         }
+        let (genome, unpack_s) = self.materialized()?;
+        let (hits, m) = match self.platform {
+            Platform::Ap => {
+                let report = crispr_ap::ApSearch::new().run(&genome, &self.guides, self.k)?;
+                let mut m = SearchMetrics::from_timing("ap-modeled", &report.timing);
+                m.set_gauge("streams", report.streams as f64);
+                m.set_gauge("passes", report.passes as f64);
+                m.set_gauge("stall_cycles", report.stall_cycles as f64);
+                m.set_gauge("chips_used", report.placement.chips_used as f64);
+                m.set_gauge("stes_used", report.placement.stes_used as f64);
+                m.set_gauge("ste_utilization", report.placement.utilization);
+                (report.hits, m)
+            }
+            Platform::Fpga => {
+                let report = crispr_fpga::FpgaSearch::new().run(&genome, &self.guides, self.k)?;
+                let mut m = SearchMetrics::from_timing("fpga-modeled", &report.timing);
+                m.set_gauge("passes", report.passes as f64);
+                m.set_gauge("designs", report.designs.len() as f64);
+                if let Some(d) = report.designs.first() {
+                    m.set_gauge("instances", d.instances as f64);
+                    m.set_gauge("clock_hz", d.clock_hz);
+                    m.set_gauge("lut_utilization", d.utilization);
+                }
+                (report.hits, m)
+            }
+            Platform::GpuInfant2 => {
+                let report = crispr_gpu::Infant2Search::new().run(&genome, &self.guides, self.k)?;
+                let mut m = SearchMetrics::from_timing("gpu-infant2-modeled", &report.timing);
+                m.set_gauge("mean_active_states", report.mean_active);
+                m.set_gauge("bytes_per_symbol", report.bytes_per_symbol);
+                (report.hits, m)
+            }
+            Platform::GpuCasOffinder => {
+                let report =
+                    crispr_gpu::CasOffinderGpuSearch::new().run(&genome, &self.guides, self.k)?;
+                let mut m = SearchMetrics::from_timing("gpu-cas-offinder-modeled", &report.timing);
+                m.set_gauge("kernel_bytes", report.kernel_bytes);
+                (report.hits, m)
+            }
+            cpu => unreachable!("{cpu} has a CPU engine"),
+        };
+        *metrics = m;
+        metrics.counters.raw_hits = hits.len() as u64;
+        metrics.phases.genome_load_s += unpack_s;
+        Ok(hits)
     }
 
     /// A byte-per-base view of the reference for the modeled platforms:
@@ -291,10 +275,6 @@ impl OffTargetSearch {
         }
     }
 }
-
-/// Chunk-failure provenance of a partial run: the failed chunks plus the
-/// total the driver enqueued.
-type PartialOutcome = (Vec<crispr_engines::ChunkFailure>, u64);
 
 #[cfg(test)]
 mod tests {
@@ -422,5 +402,23 @@ mod tests {
         assert_eq!(p.threads.len(), 4);
         assert!(p.chunks_total >= 1);
         assert!(m.counters.any_nonzero());
+    }
+
+    #[test]
+    fn a_token_tripped_at_start_stops_the_run_into_a_report() {
+        let (genome, guides, _) = workload();
+        let token = CancelToken::new();
+        token.cancel();
+        for platform in [Platform::CpuBitParallel, Platform::Ap] {
+            let report = OffTargetSearch::new(genome.clone())
+                .guides(guides.clone())
+                .platform(platform)
+                .cancel_token(token.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("{platform}: {e}"));
+            let stop = crate::Stop { deadline: false, chunks_scanned: 0, chunks_total: 0 };
+            assert_eq!(report.stopped(), Some(stop), "{platform}");
+            assert!(report.is_partial() && report.hits().is_empty(), "{platform}");
+        }
     }
 }

@@ -112,17 +112,6 @@ impl SearchError {
         matches!(self, SearchError::Partial { .. })
     }
 
-    /// For a partial-result error, the number of hits that were still
-    /// recovered; `None` for every other variant.
-    pub fn hits_recovered(&self) -> Option<usize> {
-        match self {
-            SearchError::Partial { hits, .. }
-            | SearchError::Cancelled { hits, .. }
-            | SearchError::DeadlineExceeded { hits, .. } => Some(hits.len()),
-            _ => None,
-        }
-    }
-
     /// Whether this run was stopped by a [`CancelToken`](crate::CancelToken)
     /// (manual trip or deadline) rather than by a fault.
     pub fn is_cancelled(&self) -> bool {
@@ -141,21 +130,6 @@ impl SearchError {
             }
             SearchError::DeadlineExceeded { hits, chunks_scanned, chunks_total } => {
                 Ok((hits, chunks_scanned, chunks_total, true))
-            }
-            other => Err(other),
-        }
-    }
-
-    /// Consumes a partial-result error, returning the recovered hits and
-    /// the failure provenance; `Err(self)` unchanged for every other
-    /// variant.
-    #[allow(clippy::type_complexity)]
-    pub fn into_partial(
-        self,
-    ) -> Result<(Vec<crispr_guides::Hit>, Vec<ChunkFailure>, u64), SearchError> {
-        match self {
-            SearchError::Partial { failures, chunks_total, hits } => {
-                Ok((hits, failures, chunks_total))
             }
             other => Err(other),
         }
@@ -300,7 +274,6 @@ mod tests {
             ],
         };
         assert!(e.is_partial());
-        assert_eq!(e.hits_recovered(), Some(41));
         let text = e.to_string();
         assert!(text.contains("1/16 chunks failed"), "{text}");
         assert!(text.contains("chr3") && text.contains("[1000..1512)"), "{text}");

@@ -386,11 +386,15 @@ pub fn run_scan(
         vec![drain(prepared, source, &queue, deployment)]
     } else {
         let _fanout = trace::span("phase:fanout");
+        // Workers inherit the caller's request tag, so the chunk spans
+        // and fault instants they record belong to the request (serve).
+        let request = trace::current_request();
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..deployment.threads)
                 .map(|w| {
                     let queue = &queue;
                     scope.spawn(move || {
+                        let _tag = trace::request_scope(request);
                         trace::name_thread(&format!("worker-{w}"));
                         let report = drain(prepared, source, queue, deployment);
                         // Hand this worker's events to the collector

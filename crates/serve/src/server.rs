@@ -4,17 +4,15 @@
 use crate::cache::{fnv1a, CacheKey, PreparedCache, PreparedEntry};
 use crate::http::{parse_request, ParseError, Request, Response};
 use crate::obs::{sanitize_client_id, Obs, ObsConfig, RequestCtx};
-use crispr_core::Platform;
-use crispr_engines::{
-    run_scan, CancelToken, Reference, ScanDeployment, SearchError, DEFAULT_CHUNK_RETRIES,
-};
+use crispr_core::{HitWriter, Platform, SearchReport};
+use crispr_engines::{run_scan, CancelToken, Reference, ScanDeployment, DEFAULT_CHUNK_RETRIES};
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
-use crispr_guides::{io as guide_io, Guide, Hit};
+use crispr_guides::{io as guide_io, Guide};
 use crispr_model::json::escape;
 use crispr_model::names::unknown_value_message;
 use crispr_model::SearchMetrics;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -701,27 +699,27 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         metrics.phases.guide_compile_s += entry.compile_s;
     }
 
-    // `(chunks_scanned, chunks_total)` when the request's deadline
-    // tripped before the scan finished.
-    let mut tripped: Option<(u64, u64)> = None;
-    let (hits, failures, chunks_total) = match outcome {
-        Ok(hits) => (hits, Vec::new(), 0),
-        Err(SearchError::Partial { failures, chunks_total, hits }) => {
-            shared.partials.fetch_add(1, Ordering::Relaxed);
-            (hits, failures, chunks_total)
-        }
-        Err(e) if e.is_cancelled() => {
-            let (hits, chunks_scanned, chunks_total, _deadline) =
-                e.into_cancelled().expect("is_cancelled checked");
-            shared.deadlines.fetch_add(1, Ordering::Relaxed);
-            ctx.deadline_tripped = true;
-            tripped = Some((chunks_scanned, chunks_total));
-            (hits, Vec::new(), chunks_total)
-        }
+    let report = match SearchReport::from_scan(
+        engine,
+        outcome,
+        metrics,
+        shared.reference.source().total_len(),
+        guides.len(),
+        k,
+    ) {
+        Ok(report) => report,
         Err(e) => return Response::text(500, format!("scan failed: {e}")),
     };
+    if !report.chunk_failures().is_empty() {
+        shared.partials.fetch_add(1, Ordering::Relaxed);
+    }
+    if report.stopped().is_some() {
+        shared.deadlines.fetch_add(1, Ordering::Relaxed);
+        ctx.deadline_tripped = true;
+    }
 
     {
+        let metrics = report.metrics();
         let mut aggregate =
             shared.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         aggregate.phases.merge(&metrics.phases);
@@ -740,127 +738,90 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
     // A tripped deadline with nothing recovered is a clean 504; with
     // recovered hits it degrades to the partial-results contract (206,
     // hits in the body) so finished work is never discarded.
-    if let Some((chunks_scanned, chunks_total)) = tripped {
-        if hits.is_empty() {
+    if let Some(stop) = report.stopped() {
+        if report.hits().is_empty() {
             return Response::text(
                 504,
                 format!(
-                    "deadline exceeded after {chunks_scanned}/{chunks_total} chunks (no hits recovered)"
+                    "deadline exceeded after {}/{} chunks (no hits recovered)",
+                    stop.chunks_scanned, stop.chunks_total
                 ),
             )
             .header("X-Offtarget-Deadline", deadline_header());
         }
     }
 
-    let partial = !failures.is_empty() || tripped.is_some();
-    let body = match format {
-        "tsv" => render_tsv(shared, &guides, &hits, &failures),
-        _ => render_json(
-            shared,
-            &guides,
-            &hits,
-            &failures,
-            chunks_total,
-            k,
-            engine.name(),
-            &metrics,
-            partial,
-        ),
+    let (body, content_type) = match format {
+        "tsv" => (render_tsv(shared, &guides, &report), "text/tab-separated-values; charset=utf-8"),
+        _ => (render_json(shared, &guides, &report), "application/json"),
     };
-    let content_type = if format == "tsv" {
-        "text/tab-separated-values; charset=utf-8"
-    } else {
-        "application/json"
-    };
-    let mut response = Response::new(if partial { 206 } else { 200 }, content_type, body)
-        .header("X-Offtarget-Cache", if cache_hit { "hit" } else { "miss" })
-        .header("X-Offtarget-Hits", hits.len().to_string());
+    let mut response =
+        Response::new(if report.is_partial() { 206 } else { 200 }, content_type, body)
+            .header("X-Offtarget-Cache", if cache_hit { "hit" } else { "miss" })
+            .header("X-Offtarget-Hits", report.hits().len().to_string());
     if let Some(mode) = index_mode(&shared.reference) {
         response = response.header("X-Offtarget-Index", mode);
     }
-    if let Some((chunks_scanned, chunks_total)) = tripped {
+    if let Some(stop) = report.stopped() {
         response = response
             .header(
                 "X-Offtarget-Partial",
-                format!("{}/{}", chunks_total.saturating_sub(chunks_scanned), chunks_total),
+                format!(
+                    "{}/{}",
+                    stop.chunks_total.saturating_sub(stop.chunks_scanned),
+                    stop.chunks_total
+                ),
             )
             .header("X-Offtarget-Deadline", deadline_header());
-    } else if partial {
-        response =
-            response.header("X-Offtarget-Partial", format!("{}/{}", failures.len(), chunks_total));
+    } else if report.is_partial() {
+        response = response.header(
+            "X-Offtarget-Partial",
+            format!("{}/{}", report.chunk_failures().len(), report.chunks_total()),
+        );
     }
     response
 }
 
-/// The CLI's TSV hit format, byte for byte, so a served answer diffs
-/// cleanly against `offtarget search -o hits.tsv`. Partial responses
-/// append the failure provenance as trailing comment lines.
-fn render_tsv(
-    shared: &Shared,
-    guides: &[Guide],
-    hits: &[Hit],
-    failures: &[crispr_engines::ChunkFailure],
-) -> Vec<u8> {
-    let mut out = String::with_capacity(64 + hits.len() * 48);
-    out.push_str("#guide\tcontig\tpos\tstrand\tmismatches\n");
-    for hit in hits {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\n",
-            guides[hit.guide as usize].id(),
-            shared.contig_names[hit.contig as usize],
-            hit.pos,
-            hit.strand,
-            hit.mismatches
-        ));
-    }
-    for failure in failures {
-        out.push_str(&format!("# failed chunk: {failure}\n"));
-    }
-    out.into_bytes()
+/// The CLI's TSV hit format, byte for byte (both write through
+/// [`HitWriter`]). Partial responses append the failure provenance as
+/// trailing comment lines.
+fn render_tsv(shared: &Shared, guides: &[Guide], report: &SearchReport) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + report.hits().len() * 48);
+    let write = |out: &mut Vec<u8>| -> io::Result<()> {
+        HitWriter::new(guides, &shared.contig_names).tsv(out, report.hits())?;
+        for failure in report.chunk_failures() {
+            writeln!(out, "# failed chunk: {failure}")?;
+        }
+        Ok(())
+    };
+    write(&mut out).expect("writing to a Vec cannot fail");
+    out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    shared: &Shared,
-    guides: &[Guide],
-    hits: &[Hit],
-    failures: &[crispr_engines::ChunkFailure],
-    chunks_total: u64,
-    k: usize,
-    engine: &str,
-    metrics: &SearchMetrics,
-    partial: bool,
-) -> Vec<u8> {
-    let mut out = String::with_capacity(256 + hits.len() * 96);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"engine\": \"{}\",\n", escape(engine)));
-    out.push_str(&format!("  \"k\": {k},\n"));
-    out.push_str(&format!("  \"partial\": {partial},\n"));
-    if !failures.is_empty() {
-        out.push_str("  \"chunk_failures\": [\n");
-        for (i, failure) in failures.iter().enumerate() {
-            let comma = if i + 1 < failures.len() { "," } else { "" };
-            out.push_str(&format!("    \"{}\"{comma}\n", escape(&failure.to_string())));
+/// The JSON envelope (engine, k, partial flag, failure provenance)
+/// around the CLI's `hits` array and the request's metrics.
+fn render_json(shared: &Shared, guides: &[Guide], report: &SearchReport) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256 + report.hits().len() * 96);
+    let write = |out: &mut Vec<u8>| -> io::Result<()> {
+        writeln!(out, "{{")?;
+        writeln!(out, "  \"engine\": \"{}\",", escape(report.platform().name()))?;
+        writeln!(out, "  \"k\": {},", report.max_mismatches())?;
+        writeln!(out, "  \"partial\": {},", report.is_partial())?;
+        let failures = report.chunk_failures();
+        if !failures.is_empty() {
+            writeln!(out, "  \"chunk_failures\": [")?;
+            for (i, failure) in failures.iter().enumerate() {
+                let comma = if i + 1 < failures.len() { "," } else { "" };
+                writeln!(out, "    \"{}\"{comma}", escape(&failure.to_string()))?;
+            }
+            writeln!(out, "  ],")?;
+            writeln!(out, "  \"chunks_total\": {},", report.chunks_total())?;
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"chunks_total\": {chunks_total},\n"));
-    }
-    out.push_str("  \"hits\": [\n");
-    for (i, hit) in hits.iter().enumerate() {
-        let comma = if i + 1 < hits.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"guide\":\"{}\",\"contig\":\"{}\",\"pos\":{},\"strand\":\"{}\",\"mismatches\":{}}}{comma}\n",
-            escape(guides[hit.guide as usize].id()),
-            escape(&shared.contig_names[hit.contig as usize]),
-            hit.pos,
-            hit.strand,
-            hit.mismatches
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"metrics\": {}\n", metrics.to_json()));
-    out.push_str("}\n");
-    out.into_bytes()
+        HitWriter::new(guides, &shared.contig_names).json_hits(out, report.hits())?;
+        writeln!(out, ",\n  \"metrics\": {}\n}}", report.metrics().to_json())
+    };
+    write(&mut out).expect("writing to a Vec cannot fail");
+    out
 }
 
 /// Appends one fully annotated Prometheus series: `# HELP`, `# TYPE`,

@@ -10,7 +10,7 @@
 //! offtarget anml   --guides guides.txt [-k 3] [-o out.anml]
 //! ```
 
-use crispr_offtarget::core::{OffTargetSearch, Platform};
+use crispr_offtarget::core::{HitWriter, OffTargetSearch, Platform};
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::{genset, io as guide_io, Guide, Pam};
@@ -50,10 +50,10 @@ fn main() -> ExitCode {
         other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
     };
     let code = match result {
-        // `cmd_search` returns 3 itself for partial results — after
-        // writing the recovered hits and every requested sidecar — so
-        // pipelines can distinguish "incomplete" from "broken" while
-        // still consuming the outputs.
+        // `cmd_search` returns 3 itself for partial results and 4 for a
+        // tripped --timeout — after writing the recovered hits and every
+        // requested sidecar — so pipelines can distinguish "incomplete"
+        // from "broken" while still consuming the outputs.
         Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("offtarget: {e}");
@@ -140,8 +140,9 @@ chunks capped at 4 Mi windows). `--qgram 0` omits the seed tables.
 exit codes: 0 success; 1 error; 2 usage; 3 partial results — some chunks
 failed every retry; the recovered hits and every requested sidecar
 (--metrics, --trace, --prom) are written before the process exits;
-4 deadline exceeded — the --timeout budget tripped mid-scan, and the
-hits recovered from the chunks that completed are still written.";
+4 deadline exceeded — the --timeout budget tripped mid-scan; the hits
+recovered from the chunks that completed and every requested sidecar
+are written before the process exits.";
 
 type CliError = Box<dyn std::error::Error>;
 
@@ -537,85 +538,13 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         }
         None => Ok(()),
     };
-    // The `--timeout` contract mirrors the partial-results one: a run the
-    // deadline tripped still writes every hit recovered from the chunks
-    // that completed, then exits 4 so pipelines can tell "out of time"
-    // from "broken" (1) and "some chunks failed" (3).
-    let report = match search_result {
-        Ok(report) => report,
-        Err(e) if e.is_cancelled() => {
-            let (hits, chunks_scanned, chunks_total, deadline) =
-                e.into_cancelled().expect("is_cancelled checked");
-            let mut writer = out_writer(&flags)?;
-            match format {
-                "tsv" => {
-                    writeln!(writer, "#guide\tcontig\tpos\tstrand\tmismatches")?;
-                    for hit in &hits {
-                        writeln!(
-                            writer,
-                            "{}\t{}\t{}\t{}\t{}",
-                            guides[hit.guide as usize].id(),
-                            contig_names[hit.contig as usize],
-                            hit.pos,
-                            hit.strand,
-                            hit.mismatches
-                        )?;
-                    }
-                }
-                "json" => {
-                    writeln!(writer, "{{")?;
-                    writeln!(writer, "  \"platform\": \"{}\",", escape(platform.name()))?;
-                    writeln!(writer, "  \"k\": {k},")?;
-                    writeln!(writer, "  \"deadline_exceeded\": {deadline},")?;
-                    writeln!(writer, "  \"chunks_scanned\": {chunks_scanned},")?;
-                    writeln!(writer, "  \"chunks_total\": {chunks_total},")?;
-                    writeln!(writer, "  \"hits\": [")?;
-                    for (i, hit) in hits.iter().enumerate() {
-                        let comma = if i + 1 < hits.len() { "," } else { "" };
-                        writeln!(
-                            writer,
-                            "    {{\"guide\":\"{}\",\"contig\":\"{}\",\"pos\":{},\"strand\":\"{}\",\"mismatches\":{}}}{comma}",
-                            escape(guides[hit.guide as usize].id()),
-                            escape(&contig_names[hit.contig as usize]),
-                            hit.pos,
-                            hit.strand,
-                            hit.mismatches
-                        )?;
-                    }
-                    writeln!(writer, "  ]")?;
-                    writeln!(writer, "}}")?;
-                }
-                other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
-            }
-            writer.flush()?;
-            trace_written?;
-            eprintln!(
-                "offtarget: {} after {chunks_scanned}/{chunks_total} chunks ({} hits recovered)",
-                if deadline { "deadline exceeded" } else { "cancelled" },
-                hits.len()
-            );
-            return Ok(4);
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let report = search_result?;
     trace_written?;
 
     let mut writer = out_writer(&flags)?;
+    let hit_writer = HitWriter::new(&guides, &contig_names);
     match format {
-        "tsv" => {
-            writeln!(writer, "#guide\tcontig\tpos\tstrand\tmismatches")?;
-            for hit in report.hits() {
-                writeln!(
-                    writer,
-                    "{}\t{}\t{}\t{}\t{}",
-                    guides[hit.guide as usize].id(),
-                    contig_names[hit.contig as usize],
-                    hit.pos,
-                    hit.strand,
-                    hit.mismatches
-                )?;
-            }
-        }
+        "tsv" => hit_writer.tsv(&mut writer, report.hits())?,
         "json" => {
             writeln!(writer, "{{")?;
             writeln!(writer, "  \"platform\": \"{}\",", escape(platform.name()))?;
@@ -623,22 +552,13 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
             writeln!(writer, "  \"threads\": {threads},")?;
             writeln!(writer, "  \"genome_len\": {},", report.genome_len())?;
             writeln!(writer, "  \"guide_count\": {},", report.guide_count())?;
-            writeln!(writer, "  \"hits\": [")?;
-            for (i, hit) in report.hits().iter().enumerate() {
-                let comma = if i + 1 < report.hits().len() { "," } else { "" };
-                writeln!(
-                    writer,
-                    "    {{\"guide\":\"{}\",\"contig\":\"{}\",\"pos\":{},\"strand\":\"{}\",\"mismatches\":{}}}{comma}",
-                    escape(guides[hit.guide as usize].id()),
-                    escape(&contig_names[hit.contig as usize]),
-                    hit.pos,
-                    hit.strand,
-                    hit.mismatches
-                )?;
+            if let Some(stop) = report.stopped() {
+                writeln!(writer, "  \"deadline_exceeded\": {},", stop.deadline)?;
+                writeln!(writer, "  \"chunks_scanned\": {},", stop.chunks_scanned)?;
+                writeln!(writer, "  \"chunks_total\": {},", stop.chunks_total)?;
             }
-            writeln!(writer, "  ],")?;
-            writeln!(writer, "  \"metrics\": {}", report.metrics().to_json())?;
-            writeln!(writer, "}}")?;
+            hit_writer.json_hits(&mut writer, report.hits())?;
+            writeln!(writer, ",\n  \"metrics\": {}\n}}", report.metrics().to_json())?;
         }
         other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
     }
@@ -663,10 +583,21 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         if platform.is_modeled() { "modeled" } else { "measured" },
         if threads > 1 { format!(", {threads} threads") } else { String::new() },
     );
-    // The partial-results contract: everything above ran — the recovered
+    // The incomplete-run contracts: everything above ran — the recovered
     // hits and every requested sidecar are on disk — and only now does
-    // the exit code flip to 3 so pipelines know the hit set is a floor,
-    // not the full answer.
+    // the exit code flip, so pipelines know the hit set is a floor, not
+    // the full answer: 4 when the --timeout budget (or a cancel) stopped
+    // the scan, 3 when some chunks failed every retry.
+    if let Some(stop) = report.stopped() {
+        eprintln!(
+            "offtarget: {} after {}/{} chunks ({} hits recovered)",
+            if stop.deadline { "deadline exceeded" } else { "cancelled" },
+            stop.chunks_scanned,
+            stop.chunks_total,
+            report.hits().len()
+        );
+        return Ok(4);
+    }
     if report.is_partial() {
         eprintln!(
             "offtarget: partial result: {}/{} chunks failed after retries ({} hits recovered)",

@@ -28,6 +28,53 @@ fn write_workload(dir: &Path) -> (PathBuf, PathBuf) {
     (genome_path, guides_path)
 }
 
+/// Runs `offtarget <cmd> <args>`; returns the exit code and stderr.
+fn run_cli(cmd: &str, args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_offtarget"))
+        .arg(cmd)
+        .args(args)
+        .output()
+        .expect("run offtarget");
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+/// Synthesizes a workload big enough to split into several chunks;
+/// returns the genome and guide file paths.
+fn write_chunked_workload(dir: &Path) -> (PathBuf, PathBuf) {
+    let genome = dir.join("genome.fa");
+    let guides = dir.join("guides.txt");
+    let (code, stderr) = run_cli(
+        "synth",
+        &["--len", "30000", "--seed", "5", "--contigs", "2", "-o", genome.to_str().unwrap()],
+    );
+    assert_eq!(code, Some(0), "synth: {stderr}");
+    let (code, stderr) = run_cli(
+        "guides",
+        &[
+            "--count",
+            "4",
+            "--from-genome",
+            genome.to_str().unwrap(),
+            "--seed",
+            "9",
+            "-o",
+            guides.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(0), "guides: {stderr}");
+    (genome, guides)
+}
+
+/// The "N hits recovered" count an incomplete run names on stderr.
+fn recovered_count(stderr: &str) -> usize {
+    stderr
+        .lines()
+        .find_map(|l| l.split_once(" hits recovered")?.0.rsplit(['(', ' ']).next())
+        .expect("stderr names the recovered hit count")
+        .parse()
+        .expect("recovered count parses")
+}
+
 fn run_search(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_offtarget"))
         .arg("search")
@@ -227,42 +274,13 @@ fn single_thread_persistent_faults_exit_3_with_outputs() {
 #[test]
 fn partial_runs_still_write_hits_metrics_and_prom() {
     let dir = scratch("partial-outputs");
-    let run = |cmd: &str, args: &[&str]| {
-        let output = Command::new(env!("CARGO_BIN_EXE_offtarget"))
-            .arg(cmd)
-            .args(args)
-            .output()
-            .expect("run offtarget");
-        (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
-    };
-    // A synthesized workload big enough to split into several chunks.
-    let genome = dir.join("genome.fa");
-    let guides = dir.join("guides.txt");
-    let (code, stderr) = run(
-        "synth",
-        &["--len", "30000", "--seed", "5", "--contigs", "2", "-o", genome.to_str().unwrap()],
-    );
-    assert_eq!(code, Some(0), "synth: {stderr}");
-    let (code, stderr) = run(
-        "guides",
-        &[
-            "--count",
-            "4",
-            "--from-genome",
-            genome.to_str().unwrap(),
-            "--seed",
-            "9",
-            "-o",
-            guides.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(code, Some(0), "guides: {stderr}");
+    let (genome, guides) = write_chunked_workload(&dir);
 
     let hits_path = dir.join("hits.tsv");
     let metrics_path = dir.join("metrics.json");
     let prom_path = dir.join("metrics.prom");
     // Exactly one chunk fails (one guaranteed fire, no retries).
-    let (code, stderr) = run(
+    let (code, stderr) = run_cli(
         "search",
         &[
             "--genome",
@@ -291,12 +309,7 @@ fn partial_runs_still_write_hits_metrics_and_prom() {
 
     // stderr names the recovered count; the TSV must hold exactly that
     // many data rows.
-    let recovered: usize = stderr
-        .lines()
-        .find_map(|l| l.split_once(" hits recovered")?.0.rsplit(['(', ' ']).next())
-        .expect("stderr names the recovered hit count")
-        .parse()
-        .expect("recovered count parses");
+    let recovered = recovered_count(&stderr);
     let tsv = fs::read_to_string(&hits_path).expect("partial run still writes the hit TSV");
     assert!(tsv.starts_with("#guide\tcontig\tpos\tstrand\tmismatches"), "tsv: {tsv}");
     let rows = tsv.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).count();
@@ -313,6 +326,83 @@ fn partial_runs_still_write_hits_metrics_and_prom() {
     let prom = fs::read_to_string(&prom_path).expect("prom written");
     assert!(prom.contains("offtarget_chunks_failed_total 1"), "prom: {prom}");
     assert!(prom.contains("offtarget_faults_injected_total 1"), "prom: {prom}");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The `--timeout` contract, end to end: a run whose deadline trips
+/// mid-scan exits 4 and still writes the recovered hits and every
+/// requested sidecar, just as an exit-3 partial run does. Every chunk
+/// stalls 100 ms on one thread against a 50 ms budget, so the trip is
+/// deterministic with most chunks never started.
+#[test]
+fn timed_out_runs_exit_4_with_hits_and_every_sidecar() {
+    let dir = scratch("timeout-outputs");
+    let (genome, guides) = write_chunked_workload(&dir);
+    let timed_out = |extra: &[&str]| {
+        let mut args = vec![
+            "--genome",
+            genome.to_str().unwrap(),
+            "--guides",
+            guides.to_str().unwrap(),
+            "-k",
+            "3",
+            "--threads",
+            "1",
+            "--shard",
+            "2000",
+            "--inject",
+            "parallel.chunk=delay100",
+            "--timeout",
+            "0.05",
+        ];
+        args.extend_from_slice(extra);
+        let (code, stderr) = run_cli("search", &args);
+        assert_eq!(code, Some(4), "stderr: {stderr}");
+        assert!(stderr.contains("deadline exceeded"), "stderr: {stderr}");
+        stderr
+    };
+
+    let hits_path = dir.join("hits.tsv");
+    let metrics_path = dir.join("metrics.json");
+    let prom_path = dir.join("metrics.prom");
+    let stderr = timed_out(&[
+        "-o",
+        hits_path.to_str().unwrap(),
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+        "--prom",
+        prom_path.to_str().unwrap(),
+    ]);
+    let recovered = recovered_count(&stderr);
+    let tsv = fs::read_to_string(&hits_path).expect("a timed-out run still writes the hit TSV");
+    assert!(tsv.starts_with("#guide\tcontig\tpos\tstrand\tmismatches\n"), "tsv: {tsv}");
+    let rows = tsv.lines().filter(|l| !l.starts_with('#')).count();
+    assert_eq!(rows, recovered, "TSV rows must match the reported recovery\n{tsv}");
+
+    // The two sidecars describe the same run: every counter of the
+    // metrics JSON is the matching Prometheus counter.
+    let metrics = json::parse(&fs::read_to_string(&metrics_path).expect("metrics written"))
+        .expect("metrics JSON parses");
+    let prom = fs::read_to_string(&prom_path).expect("prom written");
+    let Some(Value::Object(counters)) = metrics.get("counters") else {
+        panic!("metrics carry a counters object: {metrics:?}")
+    };
+    assert!(counters.get("windows_scanned").and_then(Value::as_f64) > Some(0.0));
+    for (name, value) in counters {
+        let value = value.as_f64().expect("numeric counter");
+        let line = format!("offtarget_{name}_total {value}\n");
+        assert!(prom.contains(&line), "prom lacks {line:?}:\n{prom}");
+    }
+
+    let json_path = dir.join("hits.json");
+    timed_out(&["--format", "json", "-o", json_path.to_str().unwrap()]);
+    let doc = json::parse(&fs::read_to_string(&json_path).expect("JSON written"))
+        .expect("hits JSON parses");
+    assert_eq!(doc.get("deadline_exceeded"), Some(&Value::Bool(true)));
+    let number = |key: &str| doc.get(key).and_then(Value::as_f64).expect(key);
+    assert!(number("chunks_scanned") < number("chunks_total"), "{doc:?}");
+    assert!(doc.get("metrics").and_then(|m| m.get("counters")).is_some(), "{doc:?}");
 
     fs::remove_dir_all(&dir).ok();
 }

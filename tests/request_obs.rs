@@ -208,44 +208,60 @@ fn every_response_carries_an_id_and_errors_repeat_it_in_the_body() {
 #[test]
 fn the_request_id_tags_the_trace_spans_of_exactly_that_request() {
     let _serial = scan_lock();
-    let session = TraceSession::start();
-    let (server, addr) = start(ServeConfig::default());
     let (_, guides) = workload();
     let body = guides_body(&guides);
+    // At one scan thread the request's own worker drains every chunk; at
+    // two the chunks run on scan workers, which inherit the tag.
+    for scan_threads in [1, 2] {
+        let session = TraceSession::start();
+        let (server, addr) = start(ServeConfig { scan_threads, ..ServeConfig::default() });
 
-    let (status, headers, _) = request_with_headers(
-        addr,
-        "POST",
-        "/search?k=2",
-        &[("X-Offtarget-Request-Id", "traced-req-1")],
-        &body,
-    );
-    assert_eq!(status, 200);
-    assert_eq!(response_id(&headers), "traced-req-1");
-    // A second, untagged request on the same daemon: its spans must not
-    // bleed into the first request's tag.
-    let (status, headers, _) = request(addr, "POST", "/search?k=2", &body);
-    assert_eq!(status, 200);
-    let generated = response_id(&headers);
+        let (status, headers, _) = request_with_headers(
+            addr,
+            "POST",
+            "/search?k=2",
+            &[("X-Offtarget-Request-Id", "traced-req-1")],
+            &body,
+        );
+        assert_eq!(status, 200);
+        assert_eq!(response_id(&headers), "traced-req-1");
+        // A second, untagged request on the same daemon: its spans must
+        // not bleed into the first request's tag.
+        let (status, headers, _) = request(addr, "POST", "/search?k=2", &body);
+        assert_eq!(status, 200);
+        let generated = response_id(&headers);
 
-    server.shutdown();
-    server.join();
-    let data = session.finish();
+        server.shutdown();
+        server.join();
+        let data = session.finish();
 
-    let tag = expected_tag("traced-req-1");
-    let tagged: Vec<_> = data.events.iter().filter(|e| e.req == tag).collect();
-    assert!(
-        tagged.iter().any(|e| e.name == "serve:request"),
-        "the request span carries the client id's tag"
-    );
-    // The scan work done on behalf of the request rides the same tag.
-    assert!(tagged.len() > 1, "scan-phase events share the request tag: {tagged:?}");
-    let other_tag = expected_tag(&generated);
-    assert_ne!(tag, other_tag);
-    assert!(
-        data.events.iter().any(|e| e.req == other_tag && e.name == "serve:request"),
-        "the second request is tagged with its own id"
-    );
+        let tag = expected_tag("traced-req-1");
+        let tagged: Vec<_> = data.events.iter().filter(|e| e.req == tag).collect();
+        assert!(
+            tagged.iter().any(|e| e.name == "serve:request"),
+            "scan_threads {scan_threads}: the request span carries the client id's tag"
+        );
+        // The scan work done on behalf of the request rides the same tag.
+        assert!(tagged.len() > 1, "scan-phase events share the request tag: {tagged:?}");
+        let other_tag = expected_tag(&generated);
+        assert_ne!(tag, other_tag);
+        assert!(
+            data.events.iter().any(|e| e.req == other_tag && e.name == "serve:request"),
+            "scan_threads {scan_threads}: the second request is tagged with its own id"
+        );
+        // Both requests scan the same chunks, and every chunk span — on
+        // whichever thread ran it — carries the tag of its request.
+        let chunks =
+            |req: u64| data.events.iter().filter(move |e| e.name == "chunk" && e.req == req);
+        let untagged: Vec<_> = data
+            .events
+            .iter()
+            .filter(|e| e.name == "chunk" && e.req != tag && e.req != other_tag)
+            .collect();
+        assert!(chunks(tag).count() > 0, "scan_threads {scan_threads}: no tagged chunk spans");
+        assert_eq!(chunks(tag).count(), chunks(other_tag).count(), "scan_threads {scan_threads}");
+        assert!(untagged.is_empty(), "scan_threads {scan_threads}: {untagged:?}");
+    }
 }
 
 #[test]

@@ -2,16 +2,18 @@
 //! compatibility with the CLI's output, cache behavior, the 206
 //! partial-results path, and protocol robustness.
 
-use crispr_offtarget::core::{OffTargetSearch, Platform};
+use crispr_offtarget::core::Platform;
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
-use crispr_offtarget::guides::{io as guide_io, Guide, Hit, Pam};
+use crispr_offtarget::guides::{io as guide_io, Guide, Pam};
+use crispr_offtarget::model::json;
 use crispr_offtarget::serve::{ServeConfig, Server};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Serializes every test that runs a scan: the failpoint registry is
@@ -36,20 +38,29 @@ fn guides_body(guides: &[Guide]) -> Vec<u8> {
     body
 }
 
-/// The CLI's TSV rendering of `hits`.
-fn tsv(genome: &Genome, guides: &[Guide], hits: &[Hit]) -> Vec<u8> {
-    let mut out = String::from("#guide\tcontig\tpos\tstrand\tmismatches\n");
-    for hit in hits {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\n",
-            guides[hit.guide as usize].id(),
-            genome.contigs()[hit.contig as usize].name(),
-            hit.pos,
-            hit.strand,
-            hit.mismatches
-        ));
-    }
-    out.into_bytes()
+/// What `offtarget search` writes for the genome and guides files in
+/// `dir` at k=3 on `platform`, in `format`.
+fn cli_search(dir: &Path, platform: &str, format: &str) -> Vec<u8> {
+    let out = dir.join(format!("hits-{platform}.{format}"));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_offtarget"))
+        .args(["search", "--genome", dir.join("genome.fa").to_str().unwrap()])
+        .args(["--guides", dir.join("guides.txt").to_str().unwrap()])
+        .args(["-k", "3", "--platform", platform, "--format", format])
+        .args(["-o", out.to_str().unwrap()])
+        .output()
+        .expect("run offtarget");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    std::fs::read(&out).expect("CLI hits")
+}
+
+/// The `"hits"` member of a JSON hit document, byte for byte, after
+/// checking the whole document parses.
+fn json_hits(doc: &[u8]) -> &[u8] {
+    let text = std::str::from_utf8(doc).expect("UTF-8 JSON");
+    json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let start = text.find("\n  \"hits\": [").expect("hits member");
+    let end = start + text[start..].find("\n  ]").expect("hits close");
+    &doc[start..end]
 }
 
 /// One `Connection: close` round trip; returns (status, headers, body).
@@ -100,29 +111,11 @@ fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
     // The CLI answer: write the same workload to disk and run the binary.
     let dir = std::env::temp_dir().join(format!("offtarget-serve-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let genome_path = dir.join("genome.fa");
-    let guides_path = dir.join("guides.txt");
-    let hits_path = dir.join("hits.tsv");
     let mut fa = Vec::new();
     fasta::write_genome(&mut fa, &genome, 70).expect("serialize genome");
-    std::fs::write(&genome_path, fa).expect("write genome");
-    std::fs::write(&guides_path, guides_body(&guides)).expect("write guides");
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_offtarget"))
-        .args([
-            "search",
-            "--genome",
-            genome_path.to_str().unwrap(),
-            "--guides",
-            guides_path.to_str().unwrap(),
-            "-k",
-            "3",
-            "-o",
-            hits_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run offtarget");
-    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
-    let cli_tsv = std::fs::read(&hits_path).expect("CLI hits");
+    std::fs::write(dir.join("genome.fa"), fa).expect("write genome");
+    std::fs::write(dir.join("guides.txt"), guides_body(&guides)).expect("write guides");
+    let cli_tsv = cli_search(&dir, "cpu-hyperscan", "tsv");
     assert!(cli_tsv.len() > 40, "workload must produce hits");
 
     let server = Server::start(genome.clone(), ServeConfig::default()).expect("start server");
@@ -146,19 +139,25 @@ fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
         }
     });
 
-    // Every servable platform answers exactly what the library runs for
-    // it: serve and the batch search resolve names through one table.
-    let search = OffTargetSearch::new(genome.clone()).guides(guides.clone()).max_mismatches(3);
-    let default_report = search.clone().run().expect("default search");
-    assert_eq!(tsv(&genome, &guides, default_report.hits()), cli_tsv);
+    // Every servable platform answers exactly what the CLI writes for
+    // it, in both formats: serve and the batch search resolve names
+    // through one table and write hits through one serializer.
     for platform in Platform::ALL.into_iter().filter(|p| !p.is_modeled()) {
-        let report = search.clone().platform(platform).run().expect("library search");
         let (status, _, served) =
             request(addr, "POST", &format!("/search?k=3&engine={platform}"), &body);
         assert_eq!(status, 200, "{platform}: {}", String::from_utf8_lossy(&served));
         assert_eq!(
             String::from_utf8_lossy(&served),
-            String::from_utf8_lossy(&tsv(&genome, &guides, report.hits())),
+            String::from_utf8_lossy(&cli_search(&dir, platform.name(), "tsv")),
+            "{platform}"
+        );
+        let (status, _, served) =
+            request(addr, "POST", &format!("/search?k=3&engine={platform}&format=json"), &body);
+        assert_eq!(status, 200, "{platform}: {}", String::from_utf8_lossy(&served));
+        let cli_json = cli_search(&dir, platform.name(), "json");
+        assert_eq!(
+            String::from_utf8_lossy(json_hits(&served)),
+            String::from_utf8_lossy(json_hits(&cli_json)),
             "{platform}"
         );
     }
