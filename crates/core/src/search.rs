@@ -54,9 +54,18 @@ impl OffTargetSearch {
     /// Scans each contig in chunks of `len` window starts (overlapping by
     /// one site) instead of splitting it across the threads — hits and
     /// counters are unchanged. On an index this bounds resident memory by
-    /// the chunks in flight. Ignored by the modeled platforms.
+    /// the chunks in flight. Ignored by the modeled platforms. `None`
+    /// keeps the default split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is `Some(0)`, like
+    /// [`ScanDeployment::with_chunk_len`].
     pub fn shard(mut self, len: Option<usize>) -> OffTargetSearch {
-        self.deployment.chunk_len = len;
+        self.deployment.chunk_len = None;
+        if let Some(len) = len {
+            self.deployment = self.deployment.with_chunk_len(len);
+        }
         self
     }
 

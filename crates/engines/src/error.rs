@@ -112,12 +112,6 @@ impl SearchError {
         matches!(self, SearchError::Partial { .. })
     }
 
-    /// Whether this run was stopped by a [`CancelToken`](crate::CancelToken)
-    /// (manual trip or deadline) rather than by a fault.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, SearchError::Cancelled { .. } | SearchError::DeadlineExceeded { .. })
-    }
-
     /// Consumes a cancellation error, returning `(hits, chunks_scanned,
     /// chunks_total, deadline)` where `deadline` is `true` for
     /// [`DeadlineExceeded`](SearchError::DeadlineExceeded); `Err(self)`

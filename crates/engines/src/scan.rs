@@ -53,6 +53,7 @@ use crate::degrade::panic_cause;
 use crate::engine::{Engine, PreparedSearch};
 use crate::error::ChunkFailure;
 use crate::{CancelToken, EngineError, SearchError};
+use crispr_failpoint::FaultPlan;
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
 use crispr_guides::{normalize, Guide, Hit};
@@ -334,8 +335,8 @@ pub fn run_search<E: Engine + ?Sized>(
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
     // Fires during prepare (e.g. a degraded accelerator build) are
-    // metered here; scan-side fires by `run_scan`'s own delta.
-    let faults_before = crispr_failpoint::fired_total();
+    // metered here; scan-side fires by `run_scan` per chunk attempt.
+    let faults_before = crispr_failpoint::thread_fired();
     m.engine = engine.name().to_string();
     let compile_start = Instant::now();
     let prepared = {
@@ -343,7 +344,7 @@ pub fn run_search<E: Engine + ?Sized>(
         engine.prepare(guides, k)
     };
     m.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
-    m.counters.faults_injected += crispr_failpoint::fired_total().saturating_sub(faults_before);
+    m.counters.faults_injected += crispr_failpoint::thread_fired() - faults_before;
     let prepared = prepared?;
     prepared.record_gauges(m);
     run_scan(prepared.as_ref(), source, deployment, m)
@@ -356,8 +357,10 @@ pub fn run_search<E: Engine + ?Sized>(
 /// and skip the compile phase.
 ///
 /// `m.phases.guide_compile_s` is *not* touched — compile cost belongs to
-/// whoever ran [`Engine::prepare`]. Scan-side fault fires are metered as
-/// a delta into `m.counters.faults_injected`.
+/// whoever ran [`Engine::prepare`]. The fault fires of every chunk
+/// attempt, failed ones included, are metered into
+/// `m.counters.faults_injected`; workers run under the caller's fault
+/// plan, so fires of concurrent runs with plans of their own never count.
 ///
 /// # Errors
 ///
@@ -373,7 +376,6 @@ pub fn run_scan(
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
     assert!(deployment.threads > 0, "need at least one thread");
-    let faults_before = crispr_failpoint::fired_total();
     let site_len = prepared.site_len();
     let work = source.chunks(site_len, deployment);
     let chunks_total = work.len() as u64;
@@ -387,14 +389,17 @@ pub fn run_scan(
     } else {
         let _fanout = trace::span("phase:fanout");
         // Workers inherit the caller's request tag, so the chunk spans
-        // and fault instants they record belong to the request (serve).
+        // and fault instants they record belong to the request (serve),
+        // and the caller's fault plan, so they fire exactly its faults.
         let request = trace::current_request();
+        let plan = FaultPlan::current();
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..deployment.threads)
                 .map(|w| {
-                    let queue = &queue;
+                    let (queue, plan) = (&queue, &plan);
                     scope.spawn(move || {
                         let _tag = trace::request_scope(request);
+                        let _plan = plan.enter();
                         trace::name_thread(&format!("worker-{w}"));
                         let report = drain(prepared, source, queue, deployment);
                         // Hand this worker's events to the collector
@@ -457,7 +462,6 @@ pub fn run_scan(
         // busiest worker's scan time.
         m.set_gauge("critical_path_s", m.phases.guide_compile_s + max_busy_s + m.phases.report_s);
     }
-    m.counters.faults_injected += crispr_failpoint::fired_total().saturating_sub(faults_before);
 
     // A trip observed after every chunk already completed is not a
     // cancellation: the full answer exists, so it is returned. Only a
@@ -504,6 +508,7 @@ fn drain(
             report.local.observe("retry_backoff_s", requeued_at.elapsed().as_secs_f64());
         }
         let chunk_span = trace::span_args("chunk", chunk.contig as u64, chunk.start);
+        let fired_before = crispr_failpoint::thread_fired();
         let busy_start = Instant::now();
         // The whole attempt — failpoint, scan, metrics — runs behind the
         // unwind fence with a *fresh* per-attempt metrics scratch: a
@@ -519,6 +524,7 @@ fn drain(
             Ok((buf, scratch))
         }));
         let attempt_s = busy_start.elapsed().as_secs_f64();
+        report.local.counters.faults_injected += crispr_failpoint::thread_fired() - fired_before;
         report.stats.busy_s += attempt_s;
         drop(chunk_span);
         chunk.attempts += 1;

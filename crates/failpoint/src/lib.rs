@@ -3,9 +3,9 @@
 //! A *failpoint* is a named site in production code where a test, a CI
 //! job, or an operator can ask for a fault to be raised: a panic, an
 //! injected error, or a delay. Sites are compiled in permanently and cost
-//! one relaxed atomic load when no injection is configured, so they can
-//! sit on chunk, parse, and prefilter boundaries of the hot pipeline
-//! without a feature gate.
+//! a thread-local read and at most one atomic load when nothing is armed
+//! on the calling thread, so they can sit on chunk, parse, and prefilter
+//! boundaries of the hot pipeline without a feature gate.
 //!
 //! # Specs
 //!
@@ -42,18 +42,28 @@
 //! decision, which is how "fail the first N attempts, then heal" scenarios
 //! stay reproducible.
 //!
-//! # Test isolation
+//! # Scope
 //!
-//! The registry is process-global, so concurrently running tests must
-//! serialize around it: [`FailScenario::setup`] takes a global lock,
-//! installs a spec, and clears it (and the counters) on drop.
+//! Armed sites live in a [`FaultPlan`], which belongs to a run, not to
+//! the process. [`configure`] and [`FailScenario::setup`] arm the
+//! calling thread's plan; a thread that starts work on others hands its
+//! plan over ([`FaultPlan::current`], then [`FaultPlan::enter`] on the
+//! new thread), so the scan driver's workers and a daemon's pool share
+//! the plan of the thread that started them — one plan, one fire cap and
+//! one seed stream, whichever thread hits the site. Threads nobody
+//! handed a plan see nothing armed: concurrently running tests, and
+//! concurrent requests of a daemon that opens a fresh plan per request,
+//! cannot reach each other's faults. Fires are counted on the thread
+//! where they happen ([`thread_fired`]), so a run meters exactly the
+//! faults of the work it ran.
 
 #![warn(missing_docs)]
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// What a configured site does when it fires.
@@ -102,10 +112,13 @@ pub struct InjectedPanic {
 struct SiteConfig {
     kind: FailKind,
     prob: f64,
-    rng: AtomicU64,
+    rng: u64,
     /// Remaining fires, or `u64::MAX` for unlimited.
-    remaining: AtomicU64,
+    remaining: u64,
 }
+
+/// The armed sites of one plan, by name.
+type Sites = HashMap<String, SiteConfig>;
 
 /// Errors from parsing an injection spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,12 +137,102 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
+/// A set of armed failpoint sites, shared by the thread that armed it and
+/// the threads its work starts (see the crate docs, "Scope"). Cloning
+/// shares the plan: re-arming it reaches every thread that entered it.
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
+    state: Arc<PlanState>,
+}
 
-fn registry() -> &'static Mutex<HashMap<String, SiteConfig>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, SiteConfig>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+#[derive(Debug, Default)]
+struct PlanState {
+    /// Whether any site is armed: the lock-free check a hit makes first.
+    armed: AtomicBool,
+    sites: Mutex<Sites>,
+}
+
+thread_local! {
+    /// The plan failpoints on this thread consult; `None` until one is
+    /// armed, entered, or asked for.
+    static PLAN: RefCell<Option<FaultPlan>> = const { RefCell::new(None) };
+    /// Faults fired on this thread since it started.
+    static FIRED: Cell<u64> = const { Cell::new(0) };
+}
+
+impl FaultPlan {
+    /// A fresh plan armed with `spec`, shared with nothing yet; an empty
+    /// spec arms nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError`] naming the first malformed entry.
+    pub fn parse(spec: &str) -> Result<FaultPlan, SpecError> {
+        let plan = FaultPlan::default();
+        plan.arm(parse_sites(spec)?);
+        Ok(plan)
+    }
+
+    /// The calling thread's plan. A thread without one gets a fresh,
+    /// unarmed plan, so sites armed on this thread later still reach the
+    /// threads it hands the returned plan to.
+    pub fn current() -> FaultPlan {
+        PLAN.with(|plan| plan.borrow_mut().get_or_insert_with(FaultPlan::default).clone())
+    }
+
+    /// Makes this plan the calling thread's until the returned scope
+    /// drops, which restores the thread's previous plan.
+    pub fn enter(&self) -> PlanScope {
+        PlanScope { previous: PLAN.with(|plan| plan.replace(Some(self.clone()))) }
+    }
+
+    /// Replaces the armed sites, returning the ones they replace.
+    fn arm(&self, sites: Sites) -> Sites {
+        if !sites.is_empty() {
+            install_panic_filter();
+        }
+        let mut guard = lock_unpoisoned(&self.state.sites);
+        self.state.armed.store(!sites.is_empty(), Ordering::Release);
+        std::mem::replace(&mut *guard, sites)
+    }
+
+    /// Decides whether `site` fires on this hit, reserving one fire from
+    /// its cap when it does.
+    fn decide(&self, site: &str) -> Option<FailKind> {
+        if !self.state.armed.load(Ordering::Acquire) {
+            return None;
+        }
+        let mut sites = lock_unpoisoned(&self.state.sites);
+        let config = sites.get_mut(site)?;
+        if config.prob < 1.0 {
+            // 53-bit uniform in [0, 1).
+            let uniform = (splitmix64(&mut config.rng) >> 11) as f64 / (1u64 << 53) as f64;
+            if uniform >= config.prob {
+                return None;
+            }
+        }
+        match config.remaining {
+            0 => return None,
+            u64::MAX => {}
+            _ => config.remaining -= 1,
+        }
+        Some(config.kind)
+    }
+}
+
+/// The scope of an entered [`FaultPlan`]; dropping it restores the
+/// thread's previous plan.
+#[derive(Debug)]
+#[must_use = "the plan is only entered while the scope is alive"]
+pub struct PlanScope {
+    previous: Option<FaultPlan>,
+}
+
+impl Drop for PlanScope {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        let _ = PLAN.try_with(|plan| plan.replace(previous));
+    }
 }
 
 /// Locks a mutex, recovering from poisoning: the protected state here is
@@ -166,24 +269,22 @@ fn install_panic_filter() {
     });
 }
 
-/// Parses and installs an injection spec, replacing any prior
-/// configuration. An empty spec clears all sites.
+/// Parses `spec` and arms it on the calling thread's plan
+/// ([`FaultPlan::current`]), replacing whatever that plan armed before.
+/// It reaches every thread the caller hands its plan to, including ones
+/// already started. An empty spec disarms the plan.
 ///
 /// # Errors
 ///
-/// [`SpecError`] naming the first malformed entry; nothing is installed
-/// on error.
+/// [`SpecError`] naming the first malformed entry; nothing is armed on
+/// error.
 pub fn configure(spec: &str) -> Result<(), SpecError> {
-    let mut sites = HashMap::new();
-    for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
-        let (site, config) = parse_entry(entry)?;
-        sites.insert(site, config);
-    }
-    install_panic_filter();
-    let enabled = !sites.is_empty();
-    *lock_unpoisoned(registry()) = sites;
-    ENABLED.store(enabled, Ordering::Release);
+    FaultPlan::current().arm(parse_sites(spec)?);
     Ok(())
+}
+
+fn parse_sites(spec: &str) -> Result<Sites, SpecError> {
+    spec.split(';').map(str::trim).filter(|e| !e.is_empty()).map(parse_entry).collect()
 }
 
 fn parse_entry(entry: &str) -> Result<(String, SiteConfig), SpecError> {
@@ -232,13 +333,11 @@ fn parse_entry(entry: &str) -> Result<(String, SiteConfig), SpecError> {
             times = t.parse().map_err(|_| err("times must be an integer"))?;
         }
     }
-    Ok((
-        site.to_string(),
-        SiteConfig { kind, prob, rng: AtomicU64::new(seed), remaining: AtomicU64::new(times) },
-    ))
+    Ok((site.to_string(), SiteConfig { kind, prob, rng: seed, remaining: times }))
 }
 
-/// Reads `OFFTARGET_INJECT` and installs it when present.
+/// Reads `OFFTARGET_INJECT` and arms it on the calling thread's plan
+/// when present (see [`configure`]).
 ///
 /// # Errors
 ///
@@ -250,17 +349,11 @@ pub fn configure_from_env() -> Result<(), SpecError> {
     }
 }
 
-/// Clears every configured site and resets the fired counter.
-pub fn clear() {
-    ENABLED.store(false, Ordering::Release);
-    lock_unpoisoned(registry()).clear();
-    FIRED_TOTAL.store(0, Ordering::Release);
-}
-
-/// Total faults fired process-wide since the last [`clear`] — the source
-/// of the `faults_injected` metric (drivers meter deltas around a search).
-pub fn fired_total() -> u64 {
-    FIRED_TOTAL.load(Ordering::Acquire)
+/// Faults fired on the calling thread since it started — the source of
+/// the `faults_injected` metric: a caller reads it before and after the
+/// work it runs on this thread and meters the difference.
+pub fn thread_fired() -> u64 {
+    FIRED.try_with(Cell::get).unwrap_or(0)
 }
 
 /// What a fire observer is told about one fired fault: the site name
@@ -289,49 +382,16 @@ pub fn set_fire_observer(observer: fn(FireEvent<'_>)) {
     let _ = fire_observer().set(observer);
 }
 
-/// Evaluates the site: decides (deterministically) whether it fires, and
-/// resolves delays in place.
+/// Evaluates the site against the calling thread's plan: decides
+/// (deterministically) whether it fires, and resolves delays in place.
 ///
-/// Returns `None` on the fast path (nothing configured, probability miss,
-/// or fire cap exhausted) and after completing a delay; `Some(kind)` for
-/// `Panic`/`Error`, which the `hit`/`hit_result` wrappers turn into an
-/// unwind or an error value.
+/// Returns `None` on the fast path (no plan or nothing armed on this
+/// thread, probability miss, or fire cap exhausted) and after completing
+/// a delay; `Some(kind)` for `Panic`/`Error`, which the `hit`/`hit_result`
+/// wrappers turn into an unwind or an error value.
 fn evaluate(site: &str) -> Option<FailKind> {
-    if !ENABLED.load(Ordering::Acquire) {
-        return None;
-    }
-    let guard = lock_unpoisoned(registry());
-    let config = guard.get(site)?;
-    if config.prob < 1.0 {
-        let mut state = config.rng.load(Ordering::Relaxed);
-        let draw = splitmix64(&mut state);
-        config.rng.store(state, Ordering::Relaxed);
-        // 53-bit uniform in [0, 1).
-        let uniform = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        if uniform >= config.prob {
-            return None;
-        }
-    }
-    // Reserve one fire from the cap; u64::MAX means unlimited.
-    let mut remaining = config.remaining.load(Ordering::Relaxed);
-    loop {
-        if remaining == 0 {
-            return None;
-        }
-        let next = if remaining == u64::MAX { u64::MAX } else { remaining - 1 };
-        match config.remaining.compare_exchange_weak(
-            remaining,
-            next,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => break,
-            Err(actual) => remaining = actual,
-        }
-    }
-    let kind = config.kind;
-    drop(guard);
-    FIRED_TOTAL.fetch_add(1, Ordering::AcqRel);
+    let kind = PLAN.try_with(|plan| plan.borrow().as_ref()?.decide(site)).ok().flatten()?;
+    let _ = FIRED.try_with(|fired| fired.set(fired.get() + 1));
     if let Some(observer) = fire_observer().get() {
         observer(FireEvent { site, kind });
     }
@@ -346,9 +406,11 @@ fn evaluate(site: &str) -> Option<FailKind> {
 
 /// The failpoint: checks `site` and raises whatever is configured.
 ///
-/// Fast path (no injection): one atomic load. A `delay` fires in place, a
-/// `panic` unwinds with an [`InjectedPanic`] payload, an `error` returns
-/// [`InjectedFault`] for the caller to propagate.
+/// Fast path (nothing armed on this thread): a thread-local read and at
+/// most one atomic load, no lock, no allocation. A
+/// `delay` fires in place, a `panic` unwinds with an [`InjectedPanic`]
+/// payload, an `error` returns [`InjectedFault`] for the caller to
+/// propagate.
 ///
 /// # Errors
 ///
@@ -389,38 +451,33 @@ pub fn hit_io(site: &str) -> std::io::Result<()> {
     hit(site).map_err(std::io::Error::from)
 }
 
-/// RAII scope for tests: takes the global scenario lock (serializing
-/// every fault-injecting test in the process), installs `spec`, and on
-/// drop clears all sites and counters.
+/// RAII scope for tests: arms `spec` on the calling thread's plan (and so
+/// on every thread that shares it, such as a daemon started from this
+/// thread) and on drop restores what that plan armed before. No lock:
+/// tests on other threads have plans of their own.
+#[derive(Debug)]
 pub struct FailScenario {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl fmt::Debug for FailScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FailScenario").finish_non_exhaustive()
-    }
+    plan: FaultPlan,
+    previous: Sites,
 }
 
 impl FailScenario {
-    /// Locks the global scenario mutex and installs `spec`.
+    /// Arms `spec` on the calling thread's plan.
     ///
     /// # Panics
     ///
     /// Panics on a malformed spec — scenario specs are test fixtures, not
     /// user input.
     pub fn setup(spec: &str) -> FailScenario {
-        static SCENARIO_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = lock_unpoisoned(SCENARIO_LOCK.get_or_init(|| Mutex::new(())));
-        clear();
-        configure(spec).expect("valid failpoint spec");
-        FailScenario { _guard: guard }
+        let plan = FaultPlan::current();
+        let previous = plan.arm(parse_sites(spec).expect("valid failpoint spec"));
+        FailScenario { plan, previous }
     }
 }
 
 impl Drop for FailScenario {
     fn drop(&mut self) {
-        clear();
+        self.plan.arm(std::mem::take(&mut self.previous));
     }
 }
 
@@ -430,18 +487,21 @@ mod tests {
 
     #[test]
     fn disabled_sites_are_free_and_silent() {
+        let before = thread_fired();
+        assert!(hit("anything").is_ok());
         let _scenario = FailScenario::setup("");
         assert!(hit("anything").is_ok());
-        assert_eq!(fired_total(), 0);
+        assert_eq!(thread_fired(), before);
     }
 
     #[test]
     fn error_kind_returns_structured_fault() {
         let _scenario = FailScenario::setup("io.site=error");
+        let before = thread_fired();
         let err = hit("io.site").unwrap_err();
         assert_eq!(err.site, "io.site");
         assert!(hit("other.site").is_ok(), "unconfigured sites stay silent");
-        assert_eq!(fired_total(), 1);
+        assert_eq!(thread_fired() - before, 1);
         let io_err = hit_io("io.site").unwrap_err();
         assert!(io_err.to_string().contains("io.site"));
     }
@@ -457,11 +517,12 @@ mod tests {
     #[test]
     fn times_caps_total_fires() {
         let _scenario = FailScenario::setup("capped=error:1.0,0,2");
+        let before = thread_fired();
         assert!(hit("capped").is_err());
         assert!(hit("capped").is_err());
         assert!(hit("capped").is_ok(), "cap exhausted");
         assert!(hit("capped").is_ok());
-        assert_eq!(fired_total(), 2);
+        assert_eq!(thread_fired() - before, 2);
     }
 
     #[test]
@@ -481,10 +542,11 @@ mod tests {
     #[test]
     fn delay_kind_fires_in_place() {
         let _scenario = FailScenario::setup("slow=delay1");
+        let before = thread_fired();
         let start = std::time::Instant::now();
         assert!(hit("slow").is_ok());
         assert!(start.elapsed() >= Duration::from_millis(1));
-        assert_eq!(fired_total(), 1);
+        assert_eq!(thread_fired() - before, 1);
     }
 
     #[test]
@@ -501,18 +563,78 @@ mod tests {
         {
             let err = configure(bad).unwrap_err();
             assert_eq!(err.entry, bad);
+            assert_eq!(FaultPlan::parse(bad).unwrap_err(), err);
         }
-        // Nothing was installed by the failures.
+        // Nothing was armed by the failures.
         assert!(hit("s").is_ok());
     }
 
     #[test]
-    fn multi_entry_specs_and_clear() {
-        let _scenario = FailScenario::setup("a=error; b=delay2;; c=panic:0.0");
+    fn multi_entry_specs_and_scenario_restore() {
+        let scenario = FailScenario::setup("a=error; b=delay2;; c=panic:0.0");
         assert!(hit("a").is_err());
         assert!(hit("c").is_ok(), "prob 0 never fires");
-        clear();
+        {
+            let _inner = FailScenario::setup("c=error");
+            assert!(hit("a").is_ok(), "an inner scenario replaces the outer one");
+            assert!(hit("c").is_err());
+        }
+        assert!(hit("a").is_err(), "dropping the inner scenario restores the outer");
+        drop(scenario);
         assert!(hit("a").is_ok());
-        assert_eq!(fired_total(), 0);
+    }
+
+    #[test]
+    fn a_plan_reaches_the_threads_that_enter_it_and_no_others() {
+        let _scenario = FailScenario::setup("shared=error:1.0,0,3");
+        let plan = FaultPlan::current();
+        std::thread::scope(|scope| {
+            // A thread nobody handed the plan sees nothing armed.
+            let stranger = scope.spawn(|| (hit("shared").is_err(), thread_fired()));
+            assert_eq!(stranger.join().unwrap(), (false, 0));
+            // Threads that enter the plan share its one fire cap, and
+            // each counts only its own fires.
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let plan = &plan;
+                    scope.spawn(move || {
+                        let _plan = plan.enter();
+                        let fires = (0..2).filter(|_| hit("shared").is_err()).count() as u64;
+                        assert_eq!(thread_fired(), fires);
+                        fires
+                    })
+                })
+                .collect();
+            let fires: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+            assert_eq!(fires, 3, "the cap is the plan's, not the thread's");
+        });
+    }
+
+    #[test]
+    fn rearming_a_shared_plan_reaches_threads_already_started() {
+        let plan = FaultPlan::current();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(move || {
+                let _plan = plan.enter();
+                wait.recv().unwrap();
+                hit("late").is_err()
+            });
+            let _scenario = FailScenario::setup("late=error");
+            go.send(()).unwrap();
+            assert!(worker.join().unwrap(), "armed after the worker entered the plan");
+        });
+    }
+
+    #[test]
+    fn an_entered_plan_nests_and_restores() {
+        let _outer = FailScenario::setup("site=error");
+        {
+            let _inner = FaultPlan::parse("other=error").unwrap().enter();
+            assert!(hit("site").is_ok(), "a fresh plan starts from its own spec only");
+            assert!(hit("other").is_err());
+        }
+        assert!(hit("site").is_err(), "the thread's own plan is back");
+        assert!(hit("other").is_ok());
     }
 }

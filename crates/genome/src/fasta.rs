@@ -403,9 +403,6 @@ mod tests {
             ]),
             pieces in prop::collection::vec(prop::sample::select(PIECES.to_vec()), 0..40),
         ) {
-            // Holds the failpoint lock with every site disarmed, so a
-            // concurrent fault test cannot fail one parser and not the other.
-            let _quiet = crispr_failpoint::FailScenario::setup("");
             let text = format!("{lead}{}", pieces.concat());
             let bytes = text.as_bytes();
             let to_input = |n| input_offset(bytes, n);

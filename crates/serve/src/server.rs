@@ -6,6 +6,7 @@ use crate::http::{parse_request, ParseError, Request, Response};
 use crate::obs::{sanitize_client_id, Obs, ObsConfig, RequestCtx};
 use crispr_core::{HitWriter, Platform, SearchReport};
 use crispr_engines::{run_scan, CancelToken, Reference, ScanDeployment, DEFAULT_CHUNK_RETRIES};
+use crispr_failpoint::FaultPlan;
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
 use crispr_guides::{io as guide_io, Guide};
@@ -232,10 +233,16 @@ impl Server {
                 (0..shared.cfg.workers.max(1)).map(|_| spawn_worker(&shared, &rx)).collect(),
             ),
         });
+        // The daemon's threads share the fault plan of the thread that
+        // started it, so arming that plan later reaches them too.
         let accept = {
             let shared = Arc::clone(&shared);
             let pool = Arc::clone(&pool);
-            std::thread::spawn(move || accept_loop(&listener, &tx, &shared, &rx, &pool))
+            let plan = FaultPlan::current();
+            std::thread::spawn(move || {
+                let _plan = plan.enter();
+                accept_loop(&listener, &tx, &shared, &rx, &pool)
+            })
         };
         Ok(Server { shared, local_addr, accept: Some(accept), pool })
     }
@@ -275,11 +282,17 @@ struct Job {
     ctx: RequestCtx,
 }
 
-/// Spawns one pool worker.
+/// Spawns one pool worker under the calling thread's fault plan (the
+/// thread that started the daemon, or the accept thread, which runs
+/// under that plan too, when it respawns a worker).
 fn spawn_worker(shared: &Arc<Shared>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     let rx = Arc::clone(rx);
-    std::thread::spawn(move || worker_loop(&shared, &rx))
+    let plan = FaultPlan::current();
+    std::thread::spawn(move || {
+        let _plan = plan.enter();
+        worker_loop(&shared, &rx)
+    })
 }
 
 /// The self-healing pass: joins any worker thread that has died and —
@@ -660,22 +673,16 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         }
     };
 
-    // An injected scenario holds the global scenario lock for the span
-    // of this scan, so injecting requests serialize against each other
-    // and clean up on every exit path. (The failpoint registry itself is
-    // process-global — run fault-injection experiments against a
-    // dedicated `--allow-inject` daemon, not a production one.)
-    let scenario = match request.query_param("inject") {
+    // An injected spec is a fresh plan entered for this request's scan
+    // only: its faults reach this scan's chunks and no other request's.
+    let plan = match request.query_param("inject") {
         Some(_) if !shared.cfg.allow_inject => {
             return Response::text(403, "fault injection disabled (start with --allow-inject)")
         }
-        Some(spec) => {
-            let spec = spec.to_string();
-            match catch_unwind(AssertUnwindSafe(|| crispr_failpoint::FailScenario::setup(&spec))) {
-                Ok(scenario) => Some(scenario),
-                Err(_) => return Response::text(400, format!("bad inject spec {spec:?}")),
-            }
-        }
+        Some(spec) => match FaultPlan::parse(spec) {
+            Ok(plan) => Some(plan),
+            Err(e) => return Response::text(400, e.to_string()),
+        },
         None => None,
     };
 
@@ -689,10 +696,11 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         .with_cancel(cancel.clone());
     ctx.cache = Some(cache_hit);
     let scan_start = Instant::now();
-    let outcome =
-        run_scan(entry.prepared.as_ref(), shared.reference.source(), &deployment, &mut metrics);
+    let outcome = {
+        let _plan = plan.as_ref().map(FaultPlan::enter);
+        run_scan(entry.prepared.as_ref(), shared.reference.source(), &deployment, &mut metrics)
+    };
     ctx.scan_s = scan_start.elapsed().as_secs_f64();
-    drop(scenario);
     if !cache_hit {
         // The compile happened this request; hits ride a cached compile
         // for free. This is what the warm/cold latency split measures.

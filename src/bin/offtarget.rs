@@ -30,8 +30,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    // Fault injection from the environment applies to every subcommand;
-    // `--inject` (search only) is layered on top in `cmd_search`.
+    // Fault injection from the environment applies to every subcommand
+    // and every thread it starts; `--inject` (search only) replaces it in
+    // `cmd_search`.
     if let Err(e) = crispr_offtarget::failpoint::configure_from_env() {
         eprintln!("offtarget: OFFTARGET_INJECT: {e}");
         return ExitCode::from(2);
@@ -126,7 +127,9 @@ trace into --slow-trace-dir (at most --slow-trace-max files).
 fault injection: --inject (or the OFFTARGET_INJECT environment variable)
 arms named failpoints; kinds are panic, error, delay<ms>. Known sites:
 parallel.chunk fasta.read guides.read prefilter.build multiseed.build
-index.write serve.accept serve.worker serve.respond
+index.write serve.accept serve.worker serve.respond. The spec reaches
+every thread the command starts (scan workers, the serve daemon's accept
+thread and pool); a serve request's inject= arms its own scan only.
 
 index: `offtarget index` serializes the 2-bit packed bases, per-base
 anchor bitmaps, and q-gram seed tables into one versioned, checksummed
@@ -468,12 +471,24 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     let platform =
         parse_platform(flags.get("platform").map(String::as_str).unwrap_or("cpu-hyperscan"))?;
     let threads = parse(&flags, "threads", 1usize)?;
+    if threads == 0 {
+        return Err("--threads 0: need at least one thread".into());
+    }
     let retries = parse(&flags, "retries", crispr_offtarget::engines::DEFAULT_CHUNK_RETRIES)?;
     let shard = match flags.get("shard") {
         Some(v) => Some(v.parse::<usize>().map_err(|e| format!("--shard {v:?}: {e}"))?),
         None => None,
     };
-    let format = flags.get("format").map(String::as_str).unwrap_or("tsv");
+    if shard == Some(0) {
+        return Err("--shard 0: a chunk needs at least one window start".into());
+    }
+    // Checked with the other flags, before the reference loads or `-o`
+    // is opened: a bad format must not cost a scan or truncate a file.
+    let json = match flags.get("format").map_or("tsv", String::as_str) {
+        "tsv" => false,
+        "json" => true,
+        other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
+    };
     let timeout = match flags.contains_key("timeout") {
         true => Some(parse_secs(&flags, "timeout", Duration::from_secs(1))?),
         false => None,
@@ -543,24 +558,22 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
 
     let mut writer = out_writer(&flags)?;
     let hit_writer = HitWriter::new(&guides, &contig_names);
-    match format {
-        "tsv" => hit_writer.tsv(&mut writer, report.hits())?,
-        "json" => {
-            writeln!(writer, "{{")?;
-            writeln!(writer, "  \"platform\": \"{}\",", escape(platform.name()))?;
-            writeln!(writer, "  \"k\": {k},")?;
-            writeln!(writer, "  \"threads\": {threads},")?;
-            writeln!(writer, "  \"genome_len\": {},", report.genome_len())?;
-            writeln!(writer, "  \"guide_count\": {},", report.guide_count())?;
-            if let Some(stop) = report.stopped() {
-                writeln!(writer, "  \"deadline_exceeded\": {},", stop.deadline)?;
-                writeln!(writer, "  \"chunks_scanned\": {},", stop.chunks_scanned)?;
-                writeln!(writer, "  \"chunks_total\": {},", stop.chunks_total)?;
-            }
-            hit_writer.json_hits(&mut writer, report.hits())?;
-            writeln!(writer, ",\n  \"metrics\": {}\n}}", report.metrics().to_json())?;
+    if json {
+        writeln!(writer, "{{")?;
+        writeln!(writer, "  \"platform\": \"{}\",", escape(platform.name()))?;
+        writeln!(writer, "  \"k\": {k},")?;
+        writeln!(writer, "  \"threads\": {threads},")?;
+        writeln!(writer, "  \"genome_len\": {},", report.genome_len())?;
+        writeln!(writer, "  \"guide_count\": {},", report.guide_count())?;
+        if let Some(stop) = report.stopped() {
+            writeln!(writer, "  \"deadline_exceeded\": {},", stop.deadline)?;
+            writeln!(writer, "  \"chunks_scanned\": {},", stop.chunks_scanned)?;
+            writeln!(writer, "  \"chunks_total\": {},", stop.chunks_total)?;
         }
-        other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
+        hit_writer.json_hits(&mut writer, report.hits())?;
+        writeln!(writer, ",\n  \"metrics\": {}\n}}", report.metrics().to_json())?;
+    } else {
+        hit_writer.tsv(&mut writer, report.hits())?;
     }
     // Results are fully written (and flushed, if stdout shares the
     // stream with a sidecar below) before any sidecar or summary output.

@@ -425,6 +425,58 @@ fn malformed_injection_specs_are_usage_errors() {
 }
 
 #[test]
+fn a_bad_format_fails_before_the_scan_and_leaves_the_output_alone() {
+    let dir = scratch("format");
+    let (genome, guides) = write_workload(&dir);
+    let out = dir.join("fmt.out");
+    fs::write(&out, "previous answer\n").expect("seed output");
+    let (code, stderr) = run_cli(
+        "search",
+        &[
+            "--genome",
+            genome.to_str().unwrap(),
+            "--guides",
+            guides.to_str().unwrap(),
+            "--format",
+            "xml",
+            "-o",
+            out.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("unknown format \"xml\""), "stderr: {stderr}");
+    assert_eq!(fs::read_to_string(&out).expect("read output"), "previous answer\n");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_threads_and_zero_shard_are_rejected_like_other_bad_values() {
+    let dir = scratch("zero");
+    let (genome, guides) = write_workload(&dir);
+    for (flag, message) in [("--threads", "--threads 0: "), ("--shard", "--shard 0: ")] {
+        let (code, stderr) = run_cli(
+            "search",
+            &[
+                "--genome",
+                genome.to_str().unwrap(),
+                "--guides",
+                guides.to_str().unwrap(),
+                flag,
+                "0",
+                "-o",
+                dir.join("hits.tsv").to_str().unwrap(),
+            ],
+        );
+        assert_eq!(code, Some(1), "{flag} 0 exits 1, not a panic: {stderr}");
+        assert!(stderr.contains(message), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn metrics_flag_writes_standalone_json() {
     let dir = scratch("metrics");
     let (genome, guides) = write_workload(&dir);

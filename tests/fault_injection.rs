@@ -15,9 +15,9 @@
 //!   counters (`faults_injected`, `chunks_retried`, `chunks_failed`,
 //!   `degraded_paths`).
 //!
-//! Every test takes the global [`FailScenario`] lock, so the tier is
-//! serialized within this binary and cannot leak injection state into
-//! other tests.
+//! Each test arms its scenario on its own thread's fault plan, which the
+//! scan driver hands to its workers, so the tests run concurrently with
+//! no lock and a clean baseline next to an injecting test stays clean.
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
@@ -54,13 +54,6 @@ fn scan(
     run_search(engine, guides, k, genome.into(), &deployment, m)
 }
 
-/// Runs a clean baseline while holding the scenario lock with nothing
-/// armed, so no concurrently running test's faults can reach it.
-fn quiet<T>(baseline: impl FnOnce() -> T) -> T {
-    let _quiet = FailScenario::setup("");
-    baseline()
-}
-
 #[test]
 fn chunk_panics_heal_to_clean_hits_and_counters() {
     let (genome, guides) = workload(201, 2);
@@ -68,10 +61,9 @@ fn chunk_panics_heal_to_clean_hits_and_counters() {
     // The inline single-thread drain heals exactly like the fan-out.
     for threads in [1, 4] {
         let mut clean_m = SearchMetrics::default();
-        let clean = quiet(|| {
+        let clean =
             scan(&engine, (&genome, &guides), 2, threads, DEFAULT_CHUNK_RETRIES, &mut clean_m)
-        })
-        .unwrap();
+                .unwrap();
 
         // Three guaranteed panics, then the site exhausts: the default
         // retry budget (3 re-queues per chunk) absorbs them all.
@@ -106,8 +98,7 @@ fn chunk_error_faults_heal_like_panics() {
     let engine = Accelerated::new(CasOffinderCpuEngine::new());
     let retries = DEFAULT_CHUNK_RETRIES;
     let clean =
-        quiet(|| scan(&engine, (&genome, &guides), 1, 3, retries, &mut SearchMetrics::default()))
-            .unwrap();
+        scan(&engine, (&genome, &guides), 1, 3, retries, &mut SearchMetrics::default()).unwrap();
 
     let _scenario = FailScenario::setup("parallel.chunk=error:1.0,11,2");
     let mut m = SearchMetrics::default();
@@ -172,7 +163,7 @@ fn persistent_faults_become_structured_partial_errors() {
 fn one_poisoned_chunk_still_recovers_the_rest() {
     let (genome, guides) = workload(203, 2);
     let engine = Accelerated::new(BitParallelEngine::new());
-    let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
+    let clean = engine.search(&genome, &guides, 2).unwrap();
 
     // Exactly one fire, no retries allowed: one chunk fails, every other
     // chunk's hits are still aggregated into the partial report.
@@ -212,7 +203,7 @@ fn one_poisoned_chunk_still_recovers_the_rest() {
 fn partial_runs_return_recovered_hits_and_provenance() {
     let (genome, guides) = workload(209, 2);
     let search = OffTargetSearch::new(genome).guides(guides).max_mismatches(2).threads(4);
-    let clean = quiet(|| search.run()).unwrap();
+    let clean = search.run().unwrap();
     assert!(!clean.is_partial() && clean.chunk_failures().is_empty());
 
     // One guaranteed fire, no retries: exactly one chunk is lost, and the
@@ -233,7 +224,7 @@ fn partial_runs_return_recovered_hits_and_provenance() {
 #[test]
 fn build_site_faults_degrade_instead_of_failing() {
     let (genome, guides) = workload(204, 2);
-    let truth = quiet(|| ScalarEngine::new().search(&genome, &guides, 2)).unwrap();
+    let truth = ScalarEngine::new().search(&genome, &guides, 2).unwrap();
 
     // (spec, engine): the batched path owns the shared seed automaton
     // (multiseed.build); the per-guide path owns the PAM-anchor
@@ -316,11 +307,9 @@ fn accelerator_front_matches_its_pure_engine() {
     for (front_name, anchorable, spec, stage, injected) in cases {
         let (_, front, pure) = fronts.iter().find(|(name, ..)| *name == front_name).unwrap();
         let guides = if anchorable { &ngg } else { &pamless };
-        let (pure_hits, pure_m, cas_m) = quiet(|| {
-            let (hits, m) = run(*pure, guides);
-            assert_eq!(hits, ScalarEngine::new().search(&genome, guides, 1).unwrap());
-            (hits, m, run(&cas_offinder, guides).1)
-        });
+        let (pure_hits, pure_m) = run(*pure, guides);
+        assert_eq!(pure_hits, ScalarEngine::new().search(&genome, guides, 1).unwrap());
+        let cas_m = run(&cas_offinder, guides).1;
         let case = format!("{front_name}, anchorable={anchorable}, {spec:?}");
 
         let _scenario = FailScenario::setup(spec);
@@ -371,27 +360,27 @@ fn io_site_faults_surface_as_structured_errors() {
 #[test]
 fn every_site_armed_at_once_heals_to_clean_hits() {
     let (genome, guides) = workload(205, 2);
-    let clean = quiet(|| {
-        OffTargetSearch::new(genome.clone())
-            .guides(guides.clone())
-            .max_mismatches(2)
-            .platform(Platform::CpuBitParallel)
-            .threads(4)
-            .run()
-    })
-    .unwrap();
+    let clean = OffTargetSearch::new(genome.clone())
+        .guides(guides.clone())
+        .max_mismatches(2)
+        .platform(Platform::CpuBitParallel)
+        .threads(4)
+        .run()
+        .unwrap();
 
     let _scenario = FailScenario::setup(
         "parallel.chunk=panic:1.0,17,2;prefilter.build=error;multiseed.build=panic;\
          fasta.read=delay1;guides.read=delay1",
     );
     // Round-trip the inputs through the parsers so the I/O sites fire.
+    let parse_fires_before = failpoint::thread_fired();
     let mut fa = Vec::new();
     fasta::write_genome(&mut fa, &genome, 70).unwrap();
     let reread_genome = fasta::read_genome(fa.as_slice()).unwrap();
     let mut gtext = Vec::new();
     guide_io::write_guides(&mut gtext, &guides).unwrap();
     let reread_guides = guide_io::read_guides(gtext.as_slice()).unwrap();
+    let parse_fires = failpoint::thread_fired() - parse_fires_before;
 
     let report = OffTargetSearch::new(reread_genome)
         .guides(reread_guides)
@@ -407,7 +396,8 @@ fn every_site_armed_at_once_heals_to_clean_hits() {
     assert_eq!(counters.chunks_failed, 0);
     assert!(counters.degraded_paths > 0, "prefilter fallback taken");
     // Both delays, both chunk panics, and the build fault all fired.
-    assert!(failpoint::fired_total() >= 5, "fired {}", failpoint::fired_total());
+    let fired = parse_fires + counters.faults_injected;
+    assert!(fired >= 5, "fired {fired}");
 }
 
 /// The rotating CI leg: probabilistic chunk faults stream from a per-run
@@ -422,7 +412,7 @@ fn rotating_seed_probabilistic_faults_heal() {
         std::env::var("FAULT_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0xFA017);
     let (genome, guides) = workload(207, 2);
     let engine = Accelerated::new(BitParallelEngine::new());
-    let clean = quiet(|| engine.search(&genome, &guides, 2)).unwrap();
+    let clean = engine.search(&genome, &guides, 2).unwrap();
 
     let _scenario = FailScenario::setup(&format!("parallel.chunk=panic:0.3,{seed},6"));
     let mut m = SearchMetrics::default();

@@ -34,9 +34,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Serializes every test in this binary: the failpoint registry is
-/// process-global, so one test's armed scenario must not leak into
-/// another's scan.
+/// Serializes every test in this binary: each drives its daemon into a
+/// timed queue state (a stalled worker, a full queue, a drain racing a
+/// probe) with windows of tens of milliseconds, which a concurrent
+/// test's scans would shift on a small host. Fault plans need no lock:
+/// each test arms its own thread's plan, which only its daemon shares.
 fn scan_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(std::sync::PoisonError::into_inner)

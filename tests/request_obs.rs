@@ -34,9 +34,11 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// Serializes every test in this binary: the failpoint registry and the
-/// trace collector are process-global, so one test's armed scenario (or
-/// trace session) must not leak into another's requests.
+/// Serializes every test in this binary: the trace collector is
+/// process-global, so one test's trace session must not collect another
+/// test's requests, and the window-gauge tests time injected stalls.
+/// Fault plans need no lock: each test arms its own thread's plan, which
+/// only its daemon shares.
 fn scan_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(std::sync::PoisonError::into_inner)

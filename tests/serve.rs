@@ -14,15 +14,8 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Serializes every test that runs a scan: the failpoint registry is
-/// process-global, so an inject-window in one test must not overlap
-/// another test's scan.
-fn scan_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A genome with planted off-targets and the guide list that finds them.
 fn workload() -> (Genome, Vec<Guide>) {
@@ -105,7 +98,6 @@ fn start(cfg: ServeConfig) -> (Server, SocketAddr) {
 
 #[test]
 fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
-    let _serial = scan_lock();
     let (genome, guides) = workload();
 
     // The CLI answer: write the same workload to disk and run the binary.
@@ -169,7 +161,6 @@ fn concurrent_clients_get_hits_bit_identical_to_the_cli() {
 
 #[test]
 fn repeated_queries_hit_the_prepared_cache() {
-    let _serial = scan_lock();
     let (server, addr) = start(ServeConfig::default());
     let (_, guides) = workload();
     let body = guides_body(&guides);
@@ -206,7 +197,6 @@ fn repeated_queries_hit_the_prepared_cache() {
 
 #[test]
 fn partial_scans_answer_206_with_provenance() {
-    let _serial = scan_lock();
     let cfg = ServeConfig {
         scan_threads: 4,
         retry_limit: 0,
@@ -247,6 +237,74 @@ fn partial_scans_answer_206_with_provenance() {
     server.join();
 }
 
+/// The fault meters of a `format=json` response: `(faults_injected,
+/// chunks_retried, completed chunk attempts, seconds they took)`.
+fn fault_meters(doc: &[u8]) -> (u64, u64, u64, f64) {
+    let text = std::str::from_utf8(doc).expect("UTF-8 JSON");
+    let doc = json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let metrics = doc.get("metrics").expect("metrics member");
+    let number = |value: Option<&json::Value>| value.and_then(json::Value::as_f64).unwrap();
+    let counter = |name| number(metrics.get("counters").and_then(|c| c.get(name))) as u64;
+    let chunk_scan = metrics.get("histograms").and_then(|h| h.get("chunk_scan_s"));
+    (
+        counter("faults_injected"),
+        counter("chunks_retried"),
+        number(chunk_scan.and_then(|h| h.get("count"))) as u64,
+        number(chunk_scan.and_then(|h| h.get("sum_s"))),
+    )
+}
+
+/// A request's `inject=` spec belongs to its own scan. A clean request
+/// that overlaps an injecting one on the same daemon answers exactly
+/// what the idle daemon answered and meters no fault, and the injecting
+/// request meters exactly its own fires: one stall per chunk.
+#[test]
+fn injected_faults_stay_with_the_request_that_armed_them() {
+    for scan_threads in [1, 2] {
+        let cfg =
+            ServeConfig { workers: 2, scan_threads, allow_inject: true, ..ServeConfig::default() };
+        let (server, addr) = start(cfg);
+        let (_, guides) = workload();
+        let body = guides_body(&guides);
+        let clean = "/search?k=2&format=json";
+        let (status, _, idle) = request(addr, "POST", clean, &body);
+        assert_eq!(status, 200);
+        assert_eq!(fault_meters(&idle).0, 0);
+
+        // Every chunk of the injecting scan stalls 200 ms; the clean
+        // request is sent while that scan is stalled on its first chunk.
+        let injecting = "/search?k=2&format=json&inject=parallel.chunk=delay200";
+        let (injected, overlapped) = std::thread::scope(|scope| {
+            let injected = scope.spawn(|| request(addr, "POST", injecting, &body));
+            std::thread::sleep(Duration::from_millis(80));
+            let overlapped = request(addr, "POST", clean, &body);
+            (injected.join().expect("injecting client"), overlapped)
+        });
+        let case = format!("scan_threads={scan_threads}");
+        let (status, _, overlapped) = overlapped;
+        assert_eq!(status, 200, "{case}");
+        assert_eq!(
+            String::from_utf8_lossy(json_hits(&overlapped)),
+            String::from_utf8_lossy(json_hits(&idle)),
+            "{case}: the overlapped clean request answers what the idle daemon did"
+        );
+        let (faults, retried, _, scan_s) = fault_meters(&overlapped);
+        assert_eq!((faults, retried), (0, 0), "{case}: the clean request meters no fault");
+        assert!(scan_s < 0.2, "{case}: no chunk of the clean request stalled ({scan_s} s)");
+
+        let (status, _, injected) = injected;
+        assert_eq!(status, 200, "{case}: a delay heals in place");
+        assert_eq!(json_hits(&injected), json_hits(&idle), "{case}");
+        let (faults, retried, chunks, _) = fault_meters(&injected);
+        assert!(chunks > 1, "{case}: the workload splits into several chunks");
+        assert_eq!(faults, chunks, "{case}: one fire per chunk of its own scan, no more");
+        assert_eq!(retried, 0, "{case}");
+
+        server.shutdown();
+        server.join();
+    }
+}
+
 #[test]
 fn inject_is_forbidden_unless_opted_in() {
     let (server, addr) = start(ServeConfig::default());
@@ -260,7 +318,6 @@ fn inject_is_forbidden_unless_opted_in() {
 
 #[test]
 fn malformed_requests_get_4xx_not_a_crash() {
-    let _serial = scan_lock();
     let cfg = ServeConfig { allow_inject: true, ..ServeConfig::default() };
     let (server, addr) = start(cfg);
     let (_, guides) = workload();
@@ -344,7 +401,6 @@ fn healthz_reports_and_shutdown_drains() {
 /// FASTA daemon's, byte for byte, whatever the scan width or budget.
 #[test]
 fn indexed_daemon_answers_byte_identically_to_the_genome_daemon() {
-    let _serial = scan_lock();
     let (genome, guides) = workload();
     let path =
         std::env::temp_dir().join(format!("offtarget-serve-index-{}.idx", std::process::id()));
