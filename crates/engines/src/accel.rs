@@ -28,8 +28,8 @@ use crate::multiseed::{MultiSeedPrepared, MultiSeedScan};
 use crate::prefilter::AnchoredScan;
 use crate::simd::SimdBackend;
 use crate::EngineError;
-use crispr_genome::pamindex::BaseMasks;
-use crispr_genome::{Base, PackedSeq};
+use crispr_genome::pamindex::MaskView;
+use crispr_genome::{Base, PackedView};
 use crispr_guides::{Guide, Hit};
 use crispr_model::SearchMetrics;
 
@@ -121,8 +121,8 @@ impl PreparedSearch for AcceleratedPrepared {
 
     fn scan_packed(
         &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
+        packed: PackedView<'_>,
+        masks: MaskView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
@@ -136,7 +136,7 @@ impl PreparedSearch for AcceleratedPrepared {
 }
 
 /// The anchor stage: [`AnchoredScan`] at a fixed budget. Consumes the
-/// index form directly (stored anchor bitmaps, no repacking).
+/// index form in place (stored bases and anchor bitmaps, no copy).
 struct AnchoredPrepared {
     scan: AnchoredScan,
     site_len: usize,
@@ -161,8 +161,8 @@ impl PreparedSearch for AnchoredPrepared {
 
     fn scan_packed(
         &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
+        packed: PackedView<'_>,
+        masks: MaskView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {

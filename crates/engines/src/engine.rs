@@ -1,7 +1,7 @@
 use crate::scan::{run_search, ScanDeployment};
 use crate::EngineError;
-use crispr_genome::pamindex::{AnchorScanner, BaseMasks};
-use crispr_genome::{Base, Genome, IupacCode, PackedSeq, Strand};
+use crispr_genome::pamindex::{AnchorScanner, MaskView};
+use crispr_genome::{Base, Genome, IupacCode, PackedView, Strand};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use crispr_trace as trace;
@@ -36,24 +36,27 @@ pub trait PreparedSearch: Send + Sync {
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError>;
 
-    /// Scans one slice delivered in index form — already 2-bit packed,
-    /// with its per-base anchor bitmaps alongside — appending raw hits
-    /// exactly like [`PreparedSearch::scan_slice`] on the same content.
+    /// Scans one slice delivered in index form — 2-bit packed bases and
+    /// their per-base anchor bitmaps, both borrowed where the index
+    /// bytes lie — appending raw hits exactly like
+    /// [`PreparedSearch::scan_slice`] on the same content. Bits of the
+    /// views past their length may hold the next chunk's bases; an
+    /// implementation reads only windows inside the length.
     ///
     /// The default unpacks to bases (charged to `genome_load_s`) and
     /// delegates to `scan_slice`, so every engine accepts indexed input
     /// with identical hits, counters, and gauges by construction.
     /// Engines whose kernels consume the packed form directly override
     /// this to skip the unpack/repack round trip (see the anchored
-    /// prefilter deployment).
+    /// prefilter deployment, which reads both views in place).
     ///
     /// # Errors
     ///
     /// Same as [`PreparedSearch::scan_slice`].
     fn scan_packed(
         &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
+        packed: PackedView<'_>,
+        masks: MaskView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {

@@ -571,7 +571,7 @@ impl MultiSeedScan {
             }
             tallies.pam_tested += 1;
             let verifier = &self.verifiers[pattern];
-            match verifier.verify(packed, start, self.k) {
+            match verifier.verify(packed.view(), start, self.k) {
                 Some(mm) => {
                     tallies.verified += 1;
                     out.push(Hit {

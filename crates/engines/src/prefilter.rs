@@ -17,8 +17,8 @@
 
 use crate::engine::AnchorGroup;
 use crate::simd::{self, SimdBackend};
-use crispr_genome::pamindex::{AnchorScanner, BaseMasks, CandidateMask};
-use crispr_genome::{hamming_lanes, Base, PackedSeq, Strand};
+use crispr_genome::pamindex::{AnchorScanner, CandidateMask, MaskView};
+use crispr_genome::{hamming_lanes, Base, PackedSeq, PackedView, Strand};
 use crispr_guides::{Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -80,7 +80,7 @@ impl PackedPattern {
     /// mismatch count when `mm ≤ k`, `None` past the budget. Single-XOR
     /// fast path when the spacer fits one 2-bit word.
     #[inline]
-    pub(crate) fn verify(&self, packed: &PackedSeq, start: usize, k: usize) -> Option<usize> {
+    pub(crate) fn verify(&self, packed: PackedView<'_>, start: usize, k: usize) -> Option<usize> {
         match self.word {
             Some(word) => {
                 let window = packed.window_word(start + self.spacer_offset, self.spacer.len());
@@ -207,7 +207,7 @@ impl AnchoredScan {
         m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
 
         let site_len = self.site_len;
-        self.scan_groups(&packed, k, out, m, |scanner, blocked| {
+        self.scan_groups(packed.view(), k, out, m, |scanner, blocked| {
             if blocked {
                 scanner.candidates_blocked(&packed, site_len)
             } else {
@@ -217,17 +217,17 @@ impl AnchoredScan {
     }
 
     /// The packed fast path of [`AnchoredScan::scan_slice`]: the slice
-    /// arrives already 2-bit packed with its per-base anchor bitmaps
-    /// (from an on-disk index), so both the packing pass *and* the
-    /// per-class mask derivation are skipped — the anchor intersection
-    /// runs straight off the stored bitmaps
-    /// ([`crispr_genome::pamindex::AnchorScanner::candidates_from`]).
-    /// Hits and counter events are identical to `scan_slice` on the
-    /// unpacked content.
+    /// arrives already 2-bit packed with its per-base anchor bitmaps,
+    /// borrowed from an on-disk index, so the packing pass, the
+    /// per-class mask derivation *and* any copy are skipped — the anchor
+    /// intersection runs straight off the stored bitmaps
+    /// ([`crispr_genome::pamindex::AnchorScanner::candidates_from`]) and
+    /// verify reads the stored words. Hits and counter events are
+    /// identical to `scan_slice` on the unpacked content.
     pub fn scan_packed(
         &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
+        packed: PackedView<'_>,
+        masks: MaskView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -252,7 +252,7 @@ impl AnchoredScan {
     /// one-candidate-at-a-time loop.
     fn scan_groups(
         &self,
-        packed: &PackedSeq,
+        packed: PackedView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -282,7 +282,7 @@ impl AnchoredScan {
         &self,
         members: &[usize],
         mask: &CandidateMask,
-        packed: &PackedSeq,
+        packed: PackedView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -341,7 +341,7 @@ impl AnchoredScan {
         members: &[usize],
         group: &BlockedGroup,
         mask: &CandidateMask,
-        packed: &PackedSeq,
+        packed: PackedView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -398,6 +398,7 @@ impl AnchoredScan {
 mod tests {
     use super::*;
     use crate::engine::patterns;
+    use crispr_genome::pamindex::BaseMasks;
     use crispr_genome::DnaSeq;
     use crispr_guides::{Guide, Pam};
 
@@ -445,7 +446,7 @@ mod tests {
             scan.scan_slice(text.as_slice(), 2, &mut slice_hits, &mut slice_m);
             let mut packed_m = SearchMetrics::default();
             let mut packed_hits = Vec::new();
-            scan.scan_packed(&packed, &masks, 2, &mut packed_hits, &mut packed_m);
+            scan.scan_packed(packed.view(), masks.view(), 2, &mut packed_hits, &mut packed_m);
             assert_eq!(packed_hits, slice_hits, "backend {}", backend.name());
             assert_eq!(packed_m.counters, slice_m.counters, "backend {}", backend.name());
         }
@@ -540,7 +541,7 @@ mod tests {
                 scan.scan_slice(seq, k, &mut slice_hits, &mut slice_m);
                 let mut packed_m = SearchMetrics::default();
                 let mut packed_hits = Vec::new();
-                scan.scan_packed(&packed, &masks, k, &mut packed_hits, &mut packed_m);
+                scan.scan_packed(packed.view(), masks.view(), k, &mut packed_hits, &mut packed_m);
                 for (hits, m, path) in
                     [(&slice_hits, &slice_m, "slice"), (&packed_hits, &packed_m, "packed")]
                 {

@@ -7,13 +7,14 @@
 //! contig through the shared [`PreparedSearch`] — no per-chunk
 //! recompilation. A [`GenomeSource::Genome`] chunk is a *borrowed* contig
 //! slice (`bytes_copied` meters copies and stays zero); a
-//! [`GenomeSource::Index`] chunk is read from the index's packed payloads
-//! in place, so resident memory is bounded by the chunks in flight, not
-//! the genome. Chunks overlap by `site_len − 1` bases so no window is
-//! lost at a boundary; hits are shifted back to contig coordinates and
-//! normalized (overlap regions produce duplicate hits by construction;
-//! normalization removes them). This is the standard way the paper's CPU
-//! tools scale to many cores.
+//! [`GenomeSource::Index`] chunk is a pair of views borrowed from the
+//! index's packed and mask payloads where they lie — no chunk owns genome
+//! bytes, so resident memory is the index pages the scan touches, not a
+//! copy of the genome. Chunks overlap by `site_len − 1` bases so no
+//! window is lost at a boundary; hits are shifted back to contig
+//! coordinates and normalized (overlap regions produce duplicate hits by
+//! construction; normalization removes them). This is the standard way
+//! the paper's CPU tools scale to many cores.
 //!
 //! # Chunk geometry
 //!
@@ -22,9 +23,12 @@
 //! the symbols delivered); chunks overlap by `site_len − 1`; the default
 //! chunk is the contig split across the deployment's threads
 //! ([`ScanDeployment::chunk_len`] overrides it); index chunks are further
-//! capped at [`INDEX_CHUNK_MAX`] window starts. Window starts partition
-//! exactly across a contig's chunks, so hits and every per-window counter
-//! are independent of the geometry.
+//! capped at [`INDEX_CHUNK_MAX`] window starts, and their step — split or
+//! override alike — is rounded up to a multiple of 64 bases, so every
+//! index chunk starts on a word boundary of both the packed run and the
+//! mask runs and is borrowed from the index as a plain subslice. Window
+//! starts partition exactly across a contig's chunks, so hits and every
+//! per-window counter are independent of the geometry.
 //!
 //! # Fault isolation and self-healing
 //!
@@ -69,14 +73,15 @@ use std::time::Instant;
 /// times).
 pub const DEFAULT_CHUNK_RETRIES: u32 = 3;
 
-/// Upper bound on the window starts of one index chunk. Index chunks are
-/// read from the packed payloads per attempt, so this caps the resident
-/// cost of a scan at (threads × ~0.75 B/base × this) whatever the contig
-/// length — the bounded-memory promise of scanning an index in place.
+/// Upper bound on the window starts of one index chunk (a multiple of
+/// 64, so capped chunks stay word-aligned). Chunks borrow the index in
+/// place, so this no longer bounds a copy: it balances work across the
+/// threads on long contigs and bounds each chunk's candidate-mask
+/// scratch (one bit per window start per anchor group).
 pub(crate) const INDEX_CHUNK_MAX: usize = 1 << 22;
 
 /// The reference a scan walks: borrowed byte-per-base contigs, or an
-/// opened on-disk index whose contig ranges are read in packed form
+/// opened on-disk index whose contig ranges are borrowed in packed form
 /// (with their anchor bitmaps) and fed to [`PreparedSearch::scan_packed`].
 #[derive(Debug, Clone, Copy)]
 pub enum GenomeSource<'a> {
@@ -136,9 +141,12 @@ impl GenomeSource<'_> {
     fn chunks(&self, site_len: usize, deployment: &ScanDeployment) -> Vec<Chunk> {
         let overlap = site_len.saturating_sub(1);
         let mut work = Vec::new();
-        let cap = match self {
-            GenomeSource::Genome(_) => usize::MAX,
-            GenomeSource::Index(_) => INDEX_CHUNK_MAX,
+        // Index chunks start on multiples of `align` bases, a word
+        // boundary of both the packed run (32 bases a word) and the mask
+        // runs (64), so each chunk is borrowed from the index in place.
+        let (cap, align) = match self {
+            GenomeSource::Genome(_) => (usize::MAX, 1),
+            GenomeSource::Index(_) => (INDEX_CHUNK_MAX, 64),
         };
         for ci in 0..self.contig_count() {
             let total = self.contig_len(ci);
@@ -153,8 +161,10 @@ impl GenomeSource<'_> {
                 }
             };
             // Clamped to the contig so chunk arithmetic cannot overflow
-            // whatever length a caller asks for.
-            let step = step.min(cap).clamp(1, total.max(1));
+            // whatever length a caller asks for. The cap is a multiple of
+            // `align`, and a step clamped to the contig makes one chunk
+            // starting at 0, so every start stays aligned.
+            let step = step.min(cap).next_multiple_of(align).clamp(1, total.max(1));
             let mut start = 0usize;
             loop {
                 let end = (start + step + overlap).min(total);
@@ -178,9 +188,9 @@ impl GenomeSource<'_> {
         work
     }
 
-    /// Scans one chunk, appending chunk-relative raw hits. Index ranges
-    /// are read here, per attempt, and the read is charged to
-    /// `genome_load_s`.
+    /// Scans one chunk, appending chunk-relative raw hits. An index
+    /// chunk's views are borrowed here, per attempt; building them is
+    /// charged to `genome_load_s`.
     fn scan_chunk(
         &self,
         prepared: &dyn PreparedSearch,
@@ -196,10 +206,10 @@ impl GenomeSource<'_> {
             }
             GenomeSource::Index(index) => {
                 let load_start = Instant::now();
-                let packed = index.contig_packed_range(ci, start, chunk.len);
-                let masks = index.contig_masks_range(ci, start, chunk.len);
+                let packed = index.packed_view(ci, start, chunk.len);
+                let masks = index.masks_view(ci, start, chunk.len);
                 m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-                prepared.scan_packed(&packed, &masks, out, m)
+                prepared.scan_packed(packed, masks, out, m)
             }
         }
     }
@@ -705,10 +715,39 @@ mod tests {
             let chunks = source.chunks(23, &ScanDeployment::new(threads));
             assert!(chunks.len() >= 4 && chunks.len() % threads == 0, "threads={threads}");
             assert!(chunks.iter().all(|c| c.len <= INDEX_CHUNK_MAX + 22));
+            assert!(chunks.iter().all(|c| c.start % 64 == 0), "threads={threads}");
             assert_eq!(chunks.iter().map(|c| c.fresh).sum::<u64>(), genome.total_len() as u64);
         }
         // A FASTA genome is never capped: one chunk per thread.
         assert_eq!(GenomeSource::Genome(&genome).chunks(23, &ScanDeployment::new(1)).len(), 1);
+    }
+
+    #[test]
+    fn index_chunks_start_on_word_boundaries_and_match_the_genome() {
+        // Splits and overrides that are not multiples of 64 are rounded
+        // up for an index; hits and per-window counters do not move.
+        let (genome, guides, _) = planted_workload(79, 2);
+        let index = GenomeIndex::build(&genome, 0).unwrap();
+        let engine = Accelerated::new(BitParallelEngine::new());
+        let prepared = engine.prepare(&guides, 2).unwrap();
+        let deployments = [
+            ScanDeployment::new(3),
+            ScanDeployment::new(1).with_chunk_len(1000),
+            ScanDeployment::new(2).with_chunk_len(23),
+        ];
+        for deployment in &deployments {
+            let chunks = GenomeSource::Index(&index).chunks(23, deployment);
+            assert!(chunks.iter().all(|c| c.start % 64 == 0), "{deployment:?}");
+            assert_eq!(chunks.iter().map(|c| c.fresh).sum::<u64>(), genome.total_len() as u64);
+            let mut want = SearchMetrics::default();
+            let truth = run_scan(prepared.as_ref(), (&genome).into(), deployment, &mut want);
+            let mut got = SearchMetrics::default();
+            let hits = run_scan(prepared.as_ref(), (&index).into(), deployment, &mut got);
+            assert_eq!(hits.unwrap(), truth.unwrap(), "{deployment:?}");
+            assert_eq!(got.counters.windows_scanned, want.counters.windows_scanned);
+            assert_eq!(got.counters.pam_anchors_tested, want.counters.pam_anchors_tested);
+            assert_eq!(got.counters.bytes_copied, 0);
+        }
     }
 
     #[test]

@@ -43,22 +43,40 @@
 //!
 //! # mmap safety argument
 //!
-//! [`GenomeIndex::open`] maps the file `PROT_READ`/`MAP_PRIVATE` and
-//! never constructs a typed reference into the mapping: all payload
-//! access goes through byte-slice reads (`u64::from_le_bytes` on copied
-//! chunks), so alignment of the mapping is irrelevant and no aliasing
-//! rules are stretched. Validation reads the entire file once at open
-//! (the whole-file checksum), after which every accessor stays within
-//! the bounds the validated header promised. The remaining hazard —
-//! another process truncating the file mid-scan delivering `SIGBUS` — is
-//! inherent to mmap consumers; runs that cannot rule it out use the
-//! read-to-`Vec` fallback ([`GenomeIndex::from_bytes`] on `fs::read`),
-//! which is also what non-Unix builds and unmappable files get
-//! automatically.
+//! [`GenomeIndex::open`] maps the file `PROT_READ`/`MAP_PRIVATE`, and a
+//! scan reads the packed bases and anchor bitmaps where they lie: the
+//! index hands out typed `&[u64]` runs ([`GenomeIndex::packed_view`],
+//! [`GenomeIndex::masks_view`]) borrowed from the mapping, tied to the
+//! index's lifetime, never written through. The views are sound because
+//! every word they cover is an aligned, initialized, little-endian
+//! `u64`:
+//!
+//! * the mapping starts on a page boundary, and every section payload
+//!   starts 8-byte aligned within the file (validation rejects a packed
+//!   or masks section that does not), with per-contig runs a whole
+//!   number of words long — so each run is 8-aligned in memory;
+//! * the owned store (a built index, or the read fallback) is a
+//!   `Vec<u64>`, aligned the same way;
+//! * the format is little-endian and so is every target this crate
+//!   builds for (a big-endian build fails to compile), so a stored word
+//!   read in place is the value the writer wrote;
+//! * any bit pattern is a valid `u64`, so no byte of the file can make a
+//!   view unsound — a corrupt payload is caught by its checksum.
+//!
+//! Validation reads the entire file once at open (the whole-file
+//! checksum), after which every accessor stays within the bounds the
+//! validated header promised. The remaining hazard — another process
+//! truncating the file mid-scan delivering `SIGBUS` — is inherent to
+//! mmap consumers; runs that cannot rule it out use the read-to-memory
+//! fallback ([`GenomeIndex::from_bytes`] on `fs::read`), which is also
+//! what non-Unix builds and unmappable files get automatically.
+
+#[cfg(not(target_endian = "little"))]
+compile_error!("the genome index is read in place as little-endian words");
 
 use crate::kmer::{DenseQGrams, DENSE_Q_MAX};
-use crate::pamindex::BaseMasks;
-use crate::{Base, DnaSeq, Genome, GenomeError, PackedSeq};
+use crate::pamindex::{BaseMasks, MaskView};
+use crate::{Base, DnaSeq, Genome, GenomeError, PackedSeq, PackedView};
 use std::path::Path;
 
 /// File magic: the first eight bytes of every index.
@@ -204,6 +222,13 @@ impl MappedFile {
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
 
+    fn words(&self) -> &[u64] {
+        // SAFETY: as `bytes`, over the whole words of the mapping; mmap
+        // returns a page-aligned address, so the words are aligned, and
+        // every bit pattern is a valid u64.
+        unsafe { std::slice::from_raw_parts(self.ptr as *const u64, self.len / 8) }
+    }
+
     /// Drops the mapping's resident pages. Validation reads every byte of
     /// the file once; afterwards only the ranges a scan reads should stay
     /// resident. Pages fault back in from the file on the next access,
@@ -228,35 +253,55 @@ impl Drop for MappedFile {
     }
 }
 
-/// Where the index bytes live.
+/// Where the index bytes live. Both forms are 8-byte aligned, so the
+/// payload words can be borrowed as `&[u64]` in place.
 enum Source {
-    /// File bytes read (or built) into memory.
-    Owned(Vec<u8>),
+    /// File bytes read (or built) into memory, held as words; `len` is
+    /// the byte length (the last word is zero-padded past it).
+    Owned { words: Vec<u64>, len: usize },
     /// A live mmap of the file.
     #[cfg(unix)]
     Mapped(MappedFile),
 }
 
 impl Source {
+    /// Copies `bytes` into an aligned owned store.
+    fn copied(bytes: &[u8]) -> Source {
+        let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
+        push_words(&mut words, bytes);
+        Source::Owned { words, len: bytes.len() }
+    }
+
     fn bytes(&self) -> &[u8] {
         match self {
-            Source::Owned(bytes) => bytes,
+            Source::Owned { words, len } => &word_bytes(words)[..*len],
             #[cfg(unix)]
             Source::Mapped(mapped) => mapped.bytes(),
         }
     }
+
+    /// The whole file as little-endian words (a trailing partial word,
+    /// possible only in a file validation then rejects, is left out).
+    fn words(&self) -> &[u64] {
+        match self {
+            Source::Owned { words, .. } => words,
+            #[cfg(unix)]
+            Source::Mapped(mapped) => mapped.words(),
+        }
+    }
 }
 
-/// Per-contig layout resolved at open time: absolute byte offsets of the
-/// contig's runs inside each section.
+/// Per-contig layout resolved at open time: where the contig's runs
+/// start in the file (word indices for the runs scans borrow as words,
+/// byte offsets for the q-gram table).
 #[derive(Debug, Clone)]
 struct ContigMeta {
     name: String,
     len: usize,
-    /// Byte offset of the contig's first packed word.
-    packed_start: usize,
-    /// Byte offset of the contig's first mask word (A bitmap).
-    masks_start: usize,
+    /// File word index of the contig's first packed word.
+    packed_word: usize,
+    /// File word index of the contig's first mask word (A bitmap).
+    masks_word: usize,
     /// Byte offset of the contig's q-gram offsets array (0 when q = 0).
     qgram_start: usize,
     /// Number of position entries in the contig's q-gram table.
@@ -306,12 +351,12 @@ impl GenomeIndex {
             q == 0 || (1..=DENSE_Q_MAX).contains(&q),
             "q must be 0 (omit) or within 1..={DENSE_Q_MAX}"
         );
-        let bytes = serialize(genome, q);
-        GenomeIndex::from_bytes(bytes)
+        GenomeIndex::from_source(serialize(genome, q), false)
     }
 
-    /// Validates and adopts raw index bytes — the read-to-`Vec` fallback
-    /// path, and the entry point tests feed corrupted buffers through.
+    /// Validates raw index bytes, copied into an aligned word store —
+    /// the read fallback path, and the entry point tests feed corrupted
+    /// buffers through.
     ///
     /// # Errors
     ///
@@ -319,7 +364,7 @@ impl GenomeIndex {
     /// [`GenomeError::IndexTruncated`], [`GenomeError::IndexChecksum`],
     /// or [`GenomeError::IndexCorrupt`] describing the first violation.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<GenomeIndex, GenomeError> {
-        GenomeIndex::from_source(Source::Owned(bytes), false)
+        GenomeIndex::from_source(Source::copied(&bytes), false)
     }
 
     /// Opens an index file: mmap on Unix when possible, otherwise (and
@@ -337,7 +382,7 @@ impl GenomeIndex {
             return GenomeIndex::from_source(Source::Mapped(mapped), true);
         }
         let bytes = std::fs::read(path)?;
-        GenomeIndex::from_source(Source::Owned(bytes), false)
+        GenomeIndex::from_source(Source::copied(&bytes), false)
     }
 
     /// Writes the index bytes to `path`, crash-safely: the bytes land in
@@ -420,77 +465,55 @@ impl GenomeIndex {
     }
 
     /// The packed bases of `[start, start + len)` of contig `ci`,
-    /// re-aligned to a fresh [`PackedSeq`] — the shard-granular read the
-    /// streaming scan mode is built on: resident cost is the range, not
-    /// the contig.
+    /// borrowed in place from the index bytes — the chunk read of an
+    /// indexed scan: no copy, and the resident cost is the pages the
+    /// scan touches. Lanes past `len` in the last word hold the contig's
+    /// next bases (see [`PackedView`]).
     ///
     /// # Panics
     ///
-    /// Panics if `ci` is out of range or the base range exceeds the
-    /// contig.
-    pub fn contig_packed_range(&self, ci: usize, start: usize, len: usize) -> PackedSeq {
-        let meta = &self.contigs[ci];
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= meta.len),
-            "range [{start}, {start}+{len}) out of contig bounds (len {})",
-            meta.len
-        );
-        let words = shifted_words(
-            self.source.bytes(),
-            meta.packed_start,
-            meta.len.div_ceil(32),
-            start / 32,
-            (start % 32) as u32 * 2,
-            len.div_ceil(32),
-        );
-        PackedSeq::from_raw_parts(words, len).expect("word count computed from len")
-    }
-
-    /// The whole packed contig `ci`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` is out of range.
-    pub fn contig_packed(&self, ci: usize) -> PackedSeq {
-        self.contig_packed_range(ci, 0, self.contigs[ci].len)
+    /// Panics if `ci` is out of range, the base range exceeds the
+    /// contig, or `start` is not a multiple of 32 (a packed word
+    /// boundary).
+    pub fn packed_view(&self, ci: usize, start: usize, len: usize) -> PackedView<'_> {
+        let meta = self.range_meta(ci, start, len, 32);
+        let first = meta.packed_word + start / 32;
+        PackedView::new(&self.source.words()[first..first + len.div_ceil(32)], len)
     }
 
     /// The per-base anchor bitmaps of `[start, start + len)` of contig
-    /// `ci`, re-aligned like [`GenomeIndex::contig_packed_range`].
-    /// Bit-identical to `BaseMasks::build` on the same range.
+    /// `ci`, borrowed in place like [`GenomeIndex::packed_view`]. Equal
+    /// below `len` to `BaseMasks::build` on the same range.
     ///
     /// # Panics
     ///
-    /// Panics if `ci` is out of range or the base range exceeds the
-    /// contig.
-    pub fn contig_masks_range(&self, ci: usize, start: usize, len: usize) -> BaseMasks {
+    /// Panics if `ci` is out of range, the base range exceeds the
+    /// contig, or `start` is not a multiple of 64 (a mask word
+    /// boundary).
+    pub fn masks_view(&self, ci: usize, start: usize, len: usize) -> MaskView<'_> {
+        let meta = self.range_meta(ci, start, len, 64);
+        let words = self.source.words();
+        let (contig_words, first, count) = (meta.len.div_ceil(64), start / 64, len.div_ceil(64));
+        MaskView::new(
+            [0, 1, 2, 3].map(|b| {
+                let run = meta.masks_word + b * contig_words + first;
+                &words[run..run + count]
+            }),
+            len,
+        )
+    }
+
+    /// The metadata of contig `ci`, after checking that `[start, start +
+    /// len)` lies inside it and `start` is a multiple of `align`.
+    fn range_meta(&self, ci: usize, start: usize, len: usize, align: usize) -> &ContigMeta {
         let meta = &self.contigs[ci];
         assert!(
             start.checked_add(len).is_some_and(|end| end <= meta.len),
             "range [{start}, {start}+{len}) out of contig bounds (len {})",
             meta.len
         );
-        let contig_words = meta.len.div_ceil(64);
-        let masks = [0usize, 1, 2, 3].map(|b| {
-            shifted_words(
-                self.source.bytes(),
-                meta.masks_start + b * 8 * contig_words,
-                contig_words,
-                start / 64,
-                (start % 64) as u32,
-                len.div_ceil(64),
-            )
-        });
-        BaseMasks::from_raw_parts(masks, len).expect("word count computed from len")
-    }
-
-    /// The whole-contig anchor bitmaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` is out of range.
-    pub fn contig_masks(&self, ci: usize) -> BaseMasks {
-        self.contig_masks_range(ci, 0, self.contigs[ci].len)
+        assert!(start.is_multiple_of(align), "view start {start} is not a multiple of {align}");
+        meta
     }
 
     /// The dense q-gram table of contig `ci`, or `None` when the index
@@ -537,7 +560,7 @@ impl GenomeIndex {
     pub fn to_genome(&self) -> Result<Genome, GenomeError> {
         let mut genome = Genome::new();
         for ci in 0..self.contigs.len() {
-            let seq: DnaSeq = self.contig_packed(ci).unpack();
+            let seq: DnaSeq = self.packed_view(ci, 0, self.contigs[ci].len).unpack();
             genome.add_contig(self.contigs[ci].name.clone(), seq)?;
         }
         Ok(genome)
@@ -553,32 +576,27 @@ impl GenomeIndex {
     }
 }
 
-/// Reads `out_words` words of a stored word run as if the bit stream
-/// started `bit_shift` bits into word `first_word`: the cross-word
-/// shift-and-combine that re-bases a packed or bitmap run onto a shard
-/// boundary. Words past `avail_words` read as zero.
-fn shifted_words(
-    bytes: &[u8],
-    run_start: usize,
-    avail_words: usize,
-    first_word: usize,
-    bit_shift: u32,
-    out_words: usize,
-) -> Vec<u64> {
-    let word_at = |i: usize| -> u64 {
-        if i < avail_words {
-            read_u64(bytes, run_start + 8 * i)
-        } else {
-            0
-        }
-    };
-    let mut out = Vec::with_capacity(out_words);
-    for i in 0..out_words {
-        let lo = word_at(first_word + i) >> bit_shift;
-        let hi = if bit_shift == 0 { 0 } else { word_at(first_word + i + 1) << (64 - bit_shift) };
-        out.push(lo | hi);
+/// Appends `bytes` as little-endian words, the last one zero-padded.
+fn push_words(out: &mut Vec<u64>, bytes: &[u8]) {
+    let mut chunks = bytes.chunks_exact(8);
+    out.extend(
+        chunks.by_ref().map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8"))),
+    );
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        out.push(u64::from_le_bytes(word));
     }
-    out
+}
+
+/// The bytes of `words` in memory order — the file bytes, since words
+/// are little-endian.
+fn word_bytes(words: &[u64]) -> &[u8] {
+    // SAFETY: the slice covers exactly the words' initialized storage,
+    // every byte of a `u64` is a valid `u8` (alignment 1), and it
+    // borrows `words`.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
 }
 
 /// One section being assembled: id plus payload bytes.
@@ -601,7 +619,7 @@ fn pad8(out: &mut Vec<u8>) {
     }
 }
 
-fn serialize(genome: &Genome, q: usize) -> Vec<u8> {
+fn serialize(genome: &Genome, q: usize) -> Source {
     let mut meta = Vec::new();
     push_u32(&mut meta, q as u32);
     push_u32(&mut meta, genome.contig_count() as u32);
@@ -655,26 +673,30 @@ fn serialize(genome: &Genome, q: usize) -> Vec<u8> {
     }
     let file_len = cursor.next_multiple_of(8) + 8;
 
-    let mut out = Vec::with_capacity(file_len);
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u32(&mut out, sections.len() as u32);
-    push_u64(&mut out, file_len as u64);
+    let mut header = Vec::with_capacity(table_len);
+    header.extend_from_slice(&MAGIC);
+    push_u32(&mut header, VERSION);
+    push_u32(&mut header, sections.len() as u32);
+    push_u64(&mut header, file_len as u64);
     for (section, &offset) in sections.iter().zip(&offsets) {
-        push_u32(&mut out, section.id);
-        push_u32(&mut out, 0);
-        push_u64(&mut out, offset as u64);
-        push_u64(&mut out, section.payload.len() as u64);
-        push_u64(&mut out, checksum(&section.payload));
+        push_u32(&mut header, section.id);
+        push_u32(&mut header, 0);
+        push_u64(&mut header, offset as u64);
+        push_u64(&mut header, section.payload.len() as u64);
+        push_u64(&mut header, checksum(&section.payload));
     }
-    for (section, &offset) in sections.iter().zip(&offsets) {
-        out.resize(offset, 0);
-        out.extend_from_slice(&section.payload);
+    // The file is assembled straight into aligned words: the header and
+    // every payload start on a multiple of 8, so each run is appended
+    // zero-padded to a whole word.
+    let mut words = Vec::with_capacity(file_len / 8);
+    push_words(&mut words, &header);
+    for section in &sections {
+        push_words(&mut words, &section.payload);
     }
-    out.resize(file_len - 8, 0);
-    let trailer = checksum(&out);
-    push_u64(&mut out, trailer);
-    out
+    debug_assert_eq!(words.len() * 8, file_len - 8);
+    let trailer = checksum(word_bytes(&words));
+    words.push(trailer);
+    Source::Owned { words, len: file_len }
 }
 
 /// Full validation pass: header, checksums, and structural decode.
@@ -759,6 +781,12 @@ fn validate(bytes: &[u8]) -> Result<(usize, Vec<ContigMeta>, usize), GenomeError
     let mut total_len = 0usize;
     let (packed_off, packed_len) = section(SECTION_PACKED)?;
     let (masks_off, masks_len) = section(SECTION_MASKS)?;
+    // Scans borrow these two payloads as words in place.
+    for (id, off) in [(SECTION_PACKED, packed_off), (SECTION_MASKS, masks_off)] {
+        if !off.is_multiple_of(8) {
+            return Err(corrupt(format!("section {} is not 8-byte aligned", section_name(id))));
+        }
+    }
     let qgram = if q > 0 { Some(section(SECTION_QGRAM)?) } else { None };
     let mut packed_cursor = packed_off;
     let mut masks_cursor = masks_off;
@@ -803,8 +831,8 @@ fn validate(bytes: &[u8]) -> Result<(usize, Vec<ContigMeta>, usize), GenomeError
         contigs.push(ContigMeta {
             name,
             len: seq_len,
-            packed_start: packed_cursor,
-            masks_start: masks_cursor,
+            packed_word: packed_cursor / 8,
+            masks_word: masks_cursor / 8,
             qgram_start,
             qgram_positions,
         });
@@ -858,8 +886,9 @@ mod tests {
             assert_eq!(index.contig_name(ci), contig.name());
             assert_eq!(index.contig_len(ci), contig.len());
             let packed = PackedSeq::from_seq(contig.seq());
-            assert_eq!(index.contig_packed(ci), packed, "contig {ci}");
-            assert_eq!(index.contig_masks(ci), BaseMasks::build(&packed), "contig {ci}");
+            let len = contig.len();
+            assert_eq!(index.packed_view(ci, 0, len).to_packed(), packed, "contig {ci}");
+            assert_eq!(index.masks_view(ci, 0, len).to_masks(), BaseMasks::build(&packed));
             assert_eq!(
                 index.contig_qgrams(ci).unwrap().unwrap(),
                 DenseQGrams::build_from_bases(contig.seq().as_slice(), 4),
@@ -871,25 +900,91 @@ mod tests {
     }
 
     #[test]
-    fn ranged_reads_equal_rebuilt_slices() {
+    fn ranged_views_equal_rebuilt_slices() {
         let genome = sample_genome();
         let index = GenomeIndex::build(&genome, 0).unwrap();
         assert_eq!(index.q(), None);
         assert!(index.contig_qgrams(0).unwrap().is_none());
         let contig = &genome.contigs()[1];
-        let full = PackedSeq::from_seq(contig.seq());
-        for (start, len) in [(0, 0), (0, 1), (0, 64), (1, 63), (31, 66), (63, 130), (500, 377)] {
-            let window: Vec<Base> =
-                (start..start + len).map(|i| contig.seq().as_slice()[i]).collect();
-            let expect = PackedSeq::from_bases(&window);
-            assert_eq!(index.contig_packed_range(1, start, len), expect, "{start}+{len}");
+        for (start, len) in [(0, 0), (0, 1), (0, 64), (64, 63), (128, 66), (64, 130), (512, 377)] {
+            let expect = PackedSeq::from_bases(&contig.seq().as_slice()[start..start + len]);
+            assert_eq!(index.packed_view(1, start, len).to_packed(), expect, "{start}+{len}");
             assert_eq!(
-                index.contig_masks_range(1, start, len),
+                index.masks_view(1, start, len).to_masks(),
                 BaseMasks::build(&expect),
                 "{start}+{len}"
             );
         }
-        assert_eq!(index.contig_packed_range(1, 0, full.len()), full);
+        // A packed view may start on any packed word boundary.
+        let expect = PackedSeq::from_bases(&contig.seq().as_slice()[32..100]);
+        assert_eq!(index.packed_view(1, 32, 68).to_packed(), expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of 64")]
+    fn mask_views_start_on_a_word_boundary() {
+        let index = GenomeIndex::build(&sample_genome(), 0).unwrap();
+        let _ = index.masks_view(0, 32, 10);
+    }
+
+    #[test]
+    fn chunk_views_borrow_the_index_and_hide_their_tail() {
+        use crate::pamindex::AnchorScanner;
+        use crate::IupacCode;
+        let genome = sample_genome();
+        let built = GenomeIndex::build(&genome, 0).unwrap();
+        let dir = std::env::temp_dir().join(format!("crispr-ix-view-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v.cgi");
+        built.write_to(&path).unwrap();
+        let mapped = GenomeIndex::open(&path).unwrap();
+        let g = IupacCode::from_ascii(b'G').unwrap();
+        let scanner = AnchorScanner::new(vec![(21, g), (22, g)]).unwrap();
+        let seq = genome.contigs()[0].seq().as_slice();
+        // A mid-contig chunk whose end falls inside a word: the words
+        // past its end hold the contig's next bases.
+        let (start, len) = (128, 101);
+        for index in [&built, &mapped] {
+            let bytes = index.as_bytes().as_ptr_range();
+            let packed = index.packed_view(0, start, len);
+            let masks = index.masks_view(0, start, len);
+            // Zero-copy: every word the views cover lies inside the
+            // index bytes themselves.
+            let mut runs = vec![packed.words()];
+            runs.extend(Base::ALL.map(|b| masks.mask(b)));
+            for run in runs {
+                let words = run.as_ptr_range();
+                assert!(bytes.start <= words.start.cast() && words.end.cast() <= bytes.end);
+            }
+            assert_ne!(packed.words().last().unwrap() >> (2 * (len % 32)), 0, "tail is live data");
+            assert_ne!(masks.mask(Base::G).last().unwrap() >> (len % 64), 0, "G past the end");
+            // The tail never reaches candidates: the view anchors exactly
+            // like an owned copy of the range.
+            let expect = PackedSeq::from_bases(&seq[start..start + len]);
+            let want: Vec<usize> = scanner.candidates(&expect, 23).iter().collect();
+            assert!(!want.is_empty());
+            for got in
+                [scanner.candidates_from(masks, 23), scanner.candidates_from_blocked(masks, 23)]
+            {
+                assert_eq!(got.iter().collect::<Vec<_>>(), want);
+            }
+            assert_eq!(packed.unpack(), expect.unpack());
+            assert_eq!(packed.to_packed(), expect);
+            assert_eq!(masks.to_masks(), BaseMasks::build(&expect));
+        }
+        // Mapped and owned indices hand out equal views.
+        for ci in 0..genome.contig_count() {
+            let len = genome.contigs()[ci].len();
+            assert_eq!(
+                built.packed_view(ci, 0, len).words(),
+                mapped.packed_view(ci, 0, len).words()
+            );
+            let (a, b) = (built.masks_view(ci, 0, len), mapped.masks_view(ci, 0, len));
+            for base in Base::ALL {
+                assert_eq!(a.mask(base), b.mask(base));
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -971,8 +1066,8 @@ mod tests {
         let index = GenomeIndex::build(&genome, 2).unwrap();
         assert_eq!(index.to_genome().unwrap(), genome);
         assert_eq!(index.contig_len(0), 0);
-        assert_eq!(index.contig_packed(0), PackedSeq::new());
-        assert_eq!(index.contig_packed(1).unpack().to_string(), "G");
+        assert_eq!(index.packed_view(0, 0, 0).to_packed(), PackedSeq::new());
+        assert_eq!(index.packed_view(1, 0, 1).unpack().to_string(), "G");
         assert_eq!(index.contig_qgrams(0).unwrap().unwrap().positions().len(), 0);
     }
 

@@ -50,5 +50,5 @@ pub mod synth;
 pub use base::{Base, IupacCode};
 pub use error::GenomeError;
 pub use genome::{Contig, Genome, Strand, WindowIter};
-pub use packed::{hamming_lanes, PackedSeq};
+pub use packed::{hamming_lanes, PackedSeq, PackedView};
 pub use seq::DnaSeq;

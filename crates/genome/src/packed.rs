@@ -102,12 +102,147 @@ impl PackedSeq {
     /// Panics if `index >= self.len()`.
     #[inline]
     pub fn base(&self, index: usize) -> Base {
+        self.view().base(index)
+    }
+
+    /// Unpacks back to a [`DnaSeq`].
+    pub fn unpack(&self) -> DnaSeq {
+        self.view().unpack()
+    }
+
+    /// [`PackedView::count_mismatches`] over the whole sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + pattern.len() > self.len()`.
+    pub fn count_mismatches(
+        &self,
+        pattern: &PackedSeq,
+        offset: usize,
+        limit: usize,
+    ) -> Option<usize> {
+        self.view().count_mismatches(pattern, offset, limit)
+    }
+
+    /// Position bitmask of the bases accepted by `class`: bit `p % 64` of
+    /// word `p / 64` of the result is set iff `class.matches(self.base(p))`.
+    ///
+    /// One output word condenses two packed words. Each packed word is
+    /// reduced by broadcasting a base code to all 2-bit lanes, XOR-ing,
+    /// and detecting zero lanes, then gathering the per-lane bits with an
+    /// even-bit compress — about a dozen word operations per 32 bases per
+    /// concrete base of the class. This is the linear pass the
+    /// [`crate::pamindex`] PAM-anchor prefilter is built on.
+    pub fn match_mask(&self, class: IupacCode) -> Vec<u64> {
+        let mut out = vec![0u64; self.len.div_ceil(2 * BASES_PER_WORD)];
+        for (o, slot) in out.iter_mut().enumerate() {
+            let lo = self.words.get(2 * o).copied().unwrap_or(0);
+            let hi = self.words.get(2 * o + 1).copied().unwrap_or(0);
+            *slot = eq_positions(lo, class) as u64 | ((eq_positions(hi, class) as u64) << 32);
+        }
+        // Tail lanes of the last packed word are zero (= A) and must not
+        // leak spurious matches past the sequence end.
+        if !self.len.is_multiple_of(64) {
+            if let Some(last) = out.last_mut() {
+                *last &= (1u64 << (self.len % 64)) - 1;
+            }
+        }
+        out
+    }
+
+    /// [`PackedView::window_word`] over the whole sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 32` or `index + count > self.len()` (debug
+    /// builds; release builds may return garbage instead).
+    pub fn window_word(&self, index: usize, count: usize) -> u64 {
+        self.view().window_word(index, count)
+    }
+
+    /// The raw 2-bit packed storage: base `32·w + i` occupies bits `2i`
+    /// of word `w`. SIMD kernels walk this slice directly instead of
+    /// paying the per-call bounds logic of [`PackedSeq::window_word`].
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// [`PackedView::window_words`] over the whole sequence.
+    pub fn window_words<const N: usize>(&self, starts: &[usize; N], count: usize) -> [u64; N] {
+        self.view().window_words(starts, count)
+    }
+
+    /// The whole sequence as a borrowed [`PackedView`].
+    #[inline]
+    pub fn view(&self) -> PackedView<'_> {
+        PackedView { words: &self.words, len: self.len }
+    }
+}
+
+/// A borrowed run of 2-bit packed bases: a word slice in [`PackedSeq`]
+/// layout plus a length — what a scan reads when the bases already sit
+/// in memory in packed form (an on-disk index chunk, or an owned
+/// [`PackedSeq`] through [`PackedSeq::view`]).
+///
+/// Lanes of the last word past `len` may hold anything: a view of a
+/// contig range in the middle of an index carries the next bases there.
+/// No read of the view returns them — every accessor works on windows
+/// inside `len`, and [`PackedView::to_packed`] clears them.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedView<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> PackedView<'a> {
+    /// Views `len` bases stored in `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly `⌈len/32⌉` words long.
+    pub fn new(words: &'a [u64], len: usize) -> PackedView<'a> {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(BASES_PER_WORD),
+            "{len} bases need {} packed words",
+            len.div_ceil(BASES_PER_WORD)
+        );
+        PackedView { words, len }
+    }
+
+    /// Number of bases viewed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view holds no bases.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The borrowed words (lanes past [`PackedView::len`] included).
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// An owned copy with the lanes past `len` cleared.
+    pub fn to_packed(&self) -> PackedSeq {
+        PackedSeq::from_raw_parts(self.words.to_vec(), self.len).expect("word count checked at new")
+    }
+
+    /// The base at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    #[inline]
+    pub fn base(&self, index: usize) -> Base {
         assert!(index < self.len, "index {} out of bounds (len {})", index, self.len);
         let word = self.words[index / BASES_PER_WORD];
         Base::from_code((word >> ((index % BASES_PER_WORD) * 2)) as u8)
     }
 
-    /// Unpacks back to a [`DnaSeq`].
+    /// Unpacks to a [`DnaSeq`].
     pub fn unpack(&self) -> DnaSeq {
         (0..self.len).map(|i| self.base(i)).collect()
     }
@@ -140,6 +275,7 @@ impl PackedSeq {
             offset + pattern.len(),
             self.len
         );
+        let pattern = pattern.view();
         let mut mismatches = 0usize;
         let mut remaining = pattern.len();
         let mut pat_idx = 0usize;
@@ -160,32 +296,6 @@ impl PackedSeq {
         Some(mismatches)
     }
 
-    /// Position bitmask of the bases accepted by `class`: bit `p % 64` of
-    /// word `p / 64` of the result is set iff `class.matches(self.base(p))`.
-    ///
-    /// One output word condenses two packed words. Each packed word is
-    /// reduced by broadcasting a base code to all 2-bit lanes, XOR-ing,
-    /// and detecting zero lanes, then gathering the per-lane bits with an
-    /// even-bit compress — about a dozen word operations per 32 bases per
-    /// concrete base of the class. This is the linear pass the
-    /// [`crate::pamindex`] PAM-anchor prefilter is built on.
-    pub fn match_mask(&self, class: IupacCode) -> Vec<u64> {
-        let mut out = vec![0u64; self.len.div_ceil(2 * BASES_PER_WORD)];
-        for (o, slot) in out.iter_mut().enumerate() {
-            let lo = self.words.get(2 * o).copied().unwrap_or(0);
-            let hi = self.words.get(2 * o + 1).copied().unwrap_or(0);
-            *slot = eq_positions(lo, class) as u64 | ((eq_positions(hi, class) as u64) << 32);
-        }
-        // Tail lanes of the last packed word are zero (= A) and must not
-        // leak spurious matches past the sequence end.
-        if !self.len.is_multiple_of(64) {
-            if let Some(last) = out.last_mut() {
-                *last &= (1u64 << (self.len % 64)) - 1;
-            }
-        }
-        out
-    }
-
     /// Extracts `count` bases starting at `index` as a right-aligned
     /// 2-bit-per-base word; lanes beyond `count` are zero. The public
     /// entry point for word-at-a-time verifiers (the PAM-anchor
@@ -196,21 +306,16 @@ impl PackedSeq {
     ///
     /// Panics if `count > 32` or `index + count > self.len()` (debug
     /// builds; release builds may return garbage instead).
+    #[inline]
     pub fn window_word(&self, index: usize, count: usize) -> u64 {
         self.extract_word(index, count)
     }
 
-    /// The raw 2-bit packed storage: base `32·w + i` occupies bits `2i`
-    /// of word `w`. SIMD kernels walk this slice directly instead of
-    /// paying the per-call bounds logic of [`PackedSeq::window_word`].
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Extracts `N` windows of `count` bases in one call: `out[j]` equals
-    /// [`PackedSeq::window_word`]`(starts[j], count)`. Width-generic over
+    /// [`PackedView::window_word`]`(starts[j], count)`. Width-generic over
     /// the lane count so a verifier can pull a whole block of candidate
     /// windows before fanning them out to the lane-parallel compare.
+    #[inline]
     pub fn window_words<const N: usize>(&self, starts: &[usize; N], count: usize) -> [u64; N] {
         let mut out = [0u64; N];
         for (slot, &start) in out.iter_mut().zip(starts) {
@@ -221,6 +326,7 @@ impl PackedSeq {
 
     /// Extracts `count ≤ 32` bases starting at `index` as a right-aligned
     /// 2-bit-per-base word; lanes beyond `count` are zero.
+    #[inline]
     fn extract_word(&self, index: usize, count: usize) -> u64 {
         debug_assert!(count <= BASES_PER_WORD);
         debug_assert!(index + count <= self.len);

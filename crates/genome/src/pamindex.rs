@@ -28,12 +28,13 @@
 //! ```
 
 use crate::{Base, IupacCode, PackedSeq};
+use std::borrow::Cow;
 
 /// The four concrete-base position bitmaps of one sequence — the exact
 /// per-base masks [`PackedSeq::match_mask`] is built from, precomputed
 /// and stored so an on-disk index can hand them back without touching
 /// the packed bases. Any IUPAC class mask is the OR of its member base
-/// masks ([`BaseMasks::class_mask`]), bit for bit what `match_mask`
+/// masks ([`MaskView::class_mask`]), bit for bit what `match_mask`
 /// would have produced, which is what lets an index-fed anchor pass
 /// yield byte-identical candidates to a FASTA-fed one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,18 +88,77 @@ impl BaseMasks {
         &self.masks[base.code() as usize]
     }
 
+    /// The four bitmaps as a borrowed [`MaskView`].
+    pub fn view(&self) -> MaskView<'_> {
+        MaskView { masks: [0, 1, 2, 3].map(|b| self.masks[b].as_slice()), len: self.len }
+    }
+}
+
+/// Borrowed per-base position bitmaps: four word slices in [`BaseMasks`]
+/// layout (A, C, G, T) plus a length — the anchor input of an on-disk
+/// index chunk, read where the index bytes lie.
+///
+/// Bits of the last word past `len` may hold anything (in the middle of
+/// an index contig, the next chunk's bases). The anchor intersection
+/// reads only positions a window inside `len` covers and clears the
+/// candidate bits past its limit, so they never become candidates;
+/// [`MaskView::to_masks`] clears them.
+#[derive(Debug, Clone, Copy)]
+pub struct MaskView<'a> {
+    masks: [&'a [u64]; 4],
+    len: usize,
+}
+
+impl<'a> MaskView<'a> {
+    /// Views the bitmaps of `len` positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any bitmap is not exactly `⌈len/64⌉` words long.
+    pub fn new(masks: [&'a [u64]; 4], len: usize) -> MaskView<'a> {
+        let words = len.div_ceil(64);
+        assert!(masks.iter().all(|m| m.len() == words), "{len} positions need {words} mask words");
+        MaskView { masks, len }
+    }
+
+    /// Number of positions covered.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view covers no positions.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The position bitmap of one concrete base.
+    pub fn mask(&self, base: Base) -> &'a [u64] {
+        self.masks[base.code() as usize]
+    }
+
     /// The position bitmap of an IUPAC class: the OR of its member base
-    /// bitmaps, equal to [`PackedSeq::match_mask`] on the same sequence.
-    pub fn class_mask(&self, class: IupacCode) -> Vec<u64> {
+    /// bitmaps, equal to [`PackedSeq::match_mask`] on the same sequence
+    /// at every position below `len`. A one-base class is the stored
+    /// bitmap itself, borrowed; only a degenerate class allocates.
+    pub fn class_mask(&self, class: IupacCode) -> Cow<'a, [u64]> {
+        if class.degeneracy() == 1 {
+            return Cow::Borrowed(
+                self.mask(class.bases().next().expect("degeneracy 1 has a base")),
+            );
+        }
         let mut out = vec![0u64; self.len.div_ceil(64)];
-        for base in Base::ALL {
-            if class.matches(base) {
-                for (slot, &word) in out.iter_mut().zip(&self.masks[base.code() as usize]) {
-                    *slot |= word;
-                }
+        for base in class.bases() {
+            for (slot, &word) in out.iter_mut().zip(self.mask(base)) {
+                *slot |= word;
             }
         }
-        out
+        Cow::Owned(out)
+    }
+
+    /// An owned copy with the bits past `len` cleared.
+    pub fn to_masks(&self) -> BaseMasks {
+        BaseMasks::from_raw_parts(self.masks.map(<[u64]>::to_vec), self.len)
+            .expect("word counts checked at new")
     }
 }
 
@@ -158,26 +218,27 @@ impl AnchorScanner {
     /// Panics if `window < self.span()` (an anchor would fall outside the
     /// window).
     pub fn candidates(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect(packed.len(), window, |c| packed.match_mask(c))
+        self.intersect(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
     }
 
     /// [`AnchorScanner::candidates`] fed from precomputed per-base
     /// bitmaps instead of the packed bases — the path an on-disk index
     /// takes. Identical output: both passes intersect the same class
-    /// masks ([`BaseMasks::class_mask`] ≡ [`PackedSeq::match_mask`]).
+    /// masks ([`MaskView::class_mask`] ≡ [`PackedSeq::match_mask`] below
+    /// `len`), and one-base classes are read in place.
     ///
     /// # Panics
     ///
     /// Panics if `window < self.span()`.
-    pub fn candidates_from(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
+    pub fn candidates_from(&self, masks: MaskView<'_>, window: usize) -> CandidateMask {
         self.intersect(masks.len(), window, |c| masks.class_mask(c))
     }
 
-    fn intersect(
+    fn intersect<'m>(
         &self,
         len: usize,
         window: usize,
-        mask_of: impl Fn(IupacCode) -> Vec<u64>,
+        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
     ) -> CandidateMask {
         assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
         let limit = (len + 1).saturating_sub(window.max(1));
@@ -185,7 +246,7 @@ impl AnchorScanner {
         if words == 0 {
             return CandidateMask { words: Vec::new(), limit: 0 };
         }
-        let class_masks: Vec<(IupacCode, Vec<u64>)> =
+        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
             self.classes.iter().map(|&c| (c, mask_of(c))).collect();
         let mut acc = vec![u64::MAX; words];
         for &(offset, class) in &self.pairs {
@@ -211,7 +272,7 @@ impl AnchorScanner {
     /// operations; the fixed four-word block also hands vector units four
     /// independent 64-bit lanes per step with no cross-lane carries.
     pub fn candidates_blocked(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect_blocked(packed.len(), window, |c| packed.match_mask(c))
+        self.intersect_blocked(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
     }
 
     /// [`AnchorScanner::candidates_blocked`] fed from precomputed
@@ -221,15 +282,15 @@ impl AnchorScanner {
     /// # Panics
     ///
     /// Panics if `window < self.span()`.
-    pub fn candidates_from_blocked(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
+    pub fn candidates_from_blocked(&self, masks: MaskView<'_>, window: usize) -> CandidateMask {
         self.intersect_blocked(masks.len(), window, |c| masks.class_mask(c))
     }
 
-    fn intersect_blocked(
+    fn intersect_blocked<'m>(
         &self,
         len: usize,
         window: usize,
-        mask_of: impl Fn(IupacCode) -> Vec<u64>,
+        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
     ) -> CandidateMask {
         assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
         let limit = (len + 1).saturating_sub(window.max(1));
@@ -237,7 +298,7 @@ impl AnchorScanner {
         if words == 0 {
             return CandidateMask { words: Vec::new(), limit: 0 };
         }
-        let class_masks: Vec<(IupacCode, Vec<u64>)> =
+        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
             self.classes.iter().map(|&c| (c, mask_of(c))).collect();
         let mut acc = vec![u64::MAX; words];
         for block in (0..words).step_by(4) {
@@ -471,7 +532,7 @@ mod tests {
             for letter in *b"ACGTRYSWKMBDHVN" {
                 let class = IupacCode::from_ascii(letter).unwrap();
                 assert_eq!(
-                    masks.class_mask(class),
+                    masks.view().class_mask(class),
                     packed.match_mask(class),
                     "len {len} class {}",
                     letter as char
@@ -480,10 +541,11 @@ mod tests {
             if len >= 8 {
                 let scanner = AnchorScanner::new(vec![(5, class(b'G')), (6, class(b'G'))]).unwrap();
                 let direct: Vec<usize> = scanner.candidates(&packed, 8).iter().collect();
-                let from_masks: Vec<usize> = scanner.candidates_from(&masks, 8).iter().collect();
+                let from_masks: Vec<usize> =
+                    scanner.candidates_from(masks.view(), 8).iter().collect();
                 assert_eq!(from_masks, direct, "len {len}");
                 let from_masks_blocked: Vec<usize> =
-                    scanner.candidates_from_blocked(&masks, 8).iter().collect();
+                    scanner.candidates_from_blocked(masks.view(), 8).iter().collect();
                 assert_eq!(from_masks_blocked, direct, "blocked, len {len}");
             }
         }

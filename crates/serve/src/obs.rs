@@ -516,6 +516,9 @@ impl Obs {
             guides_hash: None,
             cache: None,
             scan_s: 0.0,
+            load_s: 0.0,
+            compile_s: 0.0,
+            kernel_s: 0.0,
             bytes_in: 0,
             bytes_out: 0,
             deadline_tripped: false,
@@ -661,6 +664,14 @@ pub(crate) struct RequestCtx {
     pub cache: Option<bool>,
     /// Seconds the scan itself took.
     pub scan_s: f64,
+    /// The request's search phases, from its `SearchMetrics`: genome
+    /// load (chunk reads, summed over scan threads), guide compile (zero
+    /// on a cache hit) and kernel scan. Zero until a scan ran.
+    pub load_s: f64,
+    /// See [`RequestCtx::load_s`].
+    pub compile_s: f64,
+    /// See [`RequestCtx::load_s`].
+    pub kernel_s: f64,
     /// Wire bytes read from the client.
     pub bytes_in: u64,
     /// Wire bytes written back.
@@ -773,7 +784,7 @@ impl RequestCtx {
             None => "-",
         };
         format!(
-            "{{\"ts\":{ts:.6},\"id\":\"{}\",\"peer\":\"{}\",\"method\":\"{}\",\"route\":\"{}\",\"status\":{status},\"outcome\":\"{outcome}\",\"engine\":\"{}\",\"k\":{},\"guides\":{},\"guides_hash\":\"{guides_hash}\",\"cache\":\"{cache}\",\"index\":\"{}\",\"queue_wait_s\":{:.6},\"scan_s\":{:.6},\"total_s\":{total_s:.6},\"bytes_in\":{},\"bytes_out\":{}}}",
+            "{{\"ts\":{ts:.6},\"id\":\"{}\",\"peer\":\"{}\",\"method\":\"{}\",\"route\":\"{}\",\"status\":{status},\"outcome\":\"{outcome}\",\"engine\":\"{}\",\"k\":{},\"guides\":{},\"guides_hash\":\"{guides_hash}\",\"cache\":\"{cache}\",\"index\":\"{}\",\"queue_wait_s\":{:.6},\"scan_s\":{:.6},\"load_s\":{:.6},\"compile_s\":{:.6},\"kernel_s\":{:.6},\"total_s\":{total_s:.6},\"bytes_in\":{},\"bytes_out\":{}}}",
             escape(id),
             escape(&self.peer),
             self.method,
@@ -784,6 +795,9 @@ impl RequestCtx {
             self.obs.index,
             self.queue_wait_s,
             self.scan_s,
+            self.load_s,
+            self.compile_s,
+            self.kernel_s,
             self.bytes_in,
             self.bytes_out,
         )

@@ -168,7 +168,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket errors from binding `cfg.addr`.
+    /// Socket errors from binding `cfg.addr`, and
+    /// [`io::ErrorKind::InvalidInput`] when `cfg.workers` or
+    /// `cfg.scan_threads` is zero.
     pub fn start(genome: Genome, cfg: ServeConfig) -> io::Result<Server> {
         Server::start_with(Reference::Genome(genome), 0.0, cfg)
     }
@@ -182,7 +184,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket errors from binding `cfg.addr`.
+    /// As [`Server::start`].
     pub fn start_indexed(
         index: Arc<GenomeIndex>,
         load_s: f64,
@@ -192,6 +194,12 @@ impl Server {
     }
 
     fn start_with(reference: Reference, index_load_s: f64, cfg: ServeConfig) -> io::Result<Server> {
+        if cfg.workers == 0 || cfg.scan_threads == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "workers and scan_threads must each be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -230,7 +238,7 @@ impl Server {
         let rx = Arc::new(Mutex::new(rx));
         let pool = Arc::new(WorkerPool {
             handles: Mutex::new(
-                (0..shared.cfg.workers.max(1)).map(|_| spawn_worker(&shared, &rx)).collect(),
+                (0..shared.cfg.workers).map(|_| spawn_worker(&shared, &rx)).collect(),
             ),
         });
         // The daemon's threads share the fault plan of the thread that
@@ -691,7 +699,7 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
     // on the prepared search; surface them on every request, cached
     // compiles included.
     entry.prepared.record_gauges(&mut metrics);
-    let deployment = ScanDeployment::new(shared.cfg.scan_threads.max(1))
+    let deployment = ScanDeployment::new(shared.cfg.scan_threads)
         .with_retry_limit(shared.cfg.retry_limit)
         .with_cancel(cancel.clone());
     ctx.cache = Some(cache_hit);
@@ -728,6 +736,10 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
 
     {
         let metrics = report.metrics();
+        let workers = metrics.parallel.as_ref().map(|p| &p.worker_phases);
+        ctx.load_s = metrics.phases.genome_load_s + workers.map_or(0.0, |w| w.genome_load_s);
+        ctx.compile_s = metrics.phases.guide_compile_s;
+        ctx.kernel_s = metrics.phases.kernel_scan_s;
         let mut aggregate =
             shared.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         aggregate.phases.merge(&metrics.phases);

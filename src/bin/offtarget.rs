@@ -135,10 +135,11 @@ index: `offtarget index` serializes the 2-bit packed bases, per-base
 anchor bitmaps, and q-gram seed tables into one versioned, checksummed
 file; `search --index` / `serve --index` memory-map it (falling back to
 a buffered read), skip the FASTA parse and all per-run derivation, and
-scan the index in place: resident memory is bounded by the chunks in
-flight, not the genome. `--shard N` scans each contig in chunks of N
-window starts (default: the contig split across --threads, index
-chunks capped at 4 Mi windows). `--qgram 0` omits the seed tables.
+scan the index in place: chunks borrow the mapped bytes, so resident
+memory is the pages scanned, not a copy of the genome. `--shard N` scans
+each contig in chunks of N window starts (default: the contig split
+across --threads; on an index rounded up to a multiple of 64 and capped
+at 4 Mi windows). `--qgram 0` omits the seed tables.
 
 exit codes: 0 success; 1 error; 2 usage; 3 partial results — some chunks
 failed every retry; the recovered hits and every requested sidecar
@@ -466,6 +467,10 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         trace::name_thread("main");
         session
     });
+    // Input-site fires (`guides.read`, `fasta.read`) happen on this
+    // thread before the search starts metering its own; they are counted
+    // from here to the end of the reference load.
+    let faults_before = crispr_offtarget::failpoint::thread_fired();
     let guides = load_guides(get(&flags, "guides")?)?;
     let k = parse(&flags, "k", 3usize)?;
     let platform =
@@ -521,6 +526,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         }
     };
     let search = search.load_seconds(load_start.elapsed().as_secs_f64());
+    let input_faults = crispr_offtarget::failpoint::thread_fired() - faults_before;
 
     let reporter = flags.get("progress").map(|_| ProgressReporter::start(total_bases));
 
@@ -555,6 +561,8 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     };
     let report = search_result?;
     trace_written?;
+    let mut metrics = report.metrics().clone();
+    metrics.counters.faults_injected += input_faults;
 
     let mut writer = out_writer(&flags)?;
     let hit_writer = HitWriter::new(&guides, &contig_names);
@@ -571,7 +579,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
             writeln!(writer, "  \"chunks_total\": {},", stop.chunks_total)?;
         }
         hit_writer.json_hits(&mut writer, report.hits())?;
-        writeln!(writer, ",\n  \"metrics\": {}\n}}", report.metrics().to_json())?;
+        writeln!(writer, ",\n  \"metrics\": {}\n}}", metrics.to_json())?;
     } else {
         hit_writer.tsv(&mut writer, report.hits())?;
     }
@@ -580,12 +588,12 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     writer.flush()?;
     if let Some(path) = flags.get("metrics") {
         let mut out = file_or_stdout(path)?;
-        writeln!(out, "{}", report.metrics().to_json())?;
+        writeln!(out, "{}", metrics.to_json())?;
         out.flush()?;
     }
     if let Some(path) = flags.get("prom") {
         let mut out = file_or_stdout(path)?;
-        out.write_all(trace::prom::render(report.metrics()).as_bytes())?;
+        out.write_all(trace::prom::render(&metrics).as_bytes())?;
         out.flush()?;
     }
     eprintln!(
@@ -639,7 +647,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         cfg.addr = addr.clone();
     }
     cfg.workers = parse(&flags, "workers", cfg.workers)?;
+    if cfg.workers == 0 {
+        return Err("--workers 0: the daemon needs at least one worker".into());
+    }
     cfg.scan_threads = parse(&flags, "scan-threads", cfg.scan_threads)?;
+    if cfg.scan_threads == 0 {
+        return Err("--scan-threads 0: need at least one scan thread".into());
+    }
     cfg.cache_capacity = parse(&flags, "cache", cfg.cache_capacity)?;
     cfg.retry_limit = parse(&flags, "retries", cfg.retry_limit)?;
     cfg.allow_inject = flags.contains_key("allow-inject");

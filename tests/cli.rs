@@ -408,6 +408,35 @@ fn timed_out_runs_exit_4_with_hits_and_every_sidecar() {
 }
 
 #[test]
+fn input_site_faults_count_in_faults_injected() {
+    // The input reads fire on the main thread before the scan starts;
+    // their fires are faults injected into this run like any other.
+    let dir = scratch("inject-input");
+    let (genome, guides) = write_workload(&dir);
+    let metrics_path = dir.join("metrics.json");
+    let output = run_search(&[
+        "--genome",
+        genome.to_str().unwrap(),
+        "--guides",
+        guides.to_str().unwrap(),
+        "--inject",
+        "guides.read=delay5;fasta.read=delay5",
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+        "-o",
+        dir.join("hits.tsv").to_str().unwrap(),
+    ]);
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    let metrics = json::parse(&fs::read_to_string(&metrics_path).expect("metrics"))
+        .expect("metrics JSON parses");
+    let counters = metrics.get("counters").expect("counters");
+    let faults = counters.get("faults_injected").and_then(Value::as_f64).expect("faults_injected");
+    assert_eq!(faults, 2.0, "one guides.read and one fasta.read fire");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_injection_specs_are_usage_errors() {
     // Bad --inject spec: rejected before any work happens.
     let output = run_search(&["--inject", "nonsense"]);
@@ -454,23 +483,23 @@ fn a_bad_format_fails_before_the_scan_and_leaves_the_output_alone() {
 fn zero_threads_and_zero_shard_are_rejected_like_other_bad_values() {
     let dir = scratch("zero");
     let (genome, guides) = write_workload(&dir);
-    for (flag, message) in [("--threads", "--threads 0: "), ("--shard", "--shard 0: ")] {
-        let (code, stderr) = run_cli(
-            "search",
-            &[
-                "--genome",
-                genome.to_str().unwrap(),
-                "--guides",
-                guides.to_str().unwrap(),
-                flag,
-                "0",
-                "-o",
-                dir.join("hits.tsv").to_str().unwrap(),
-            ],
-        );
-        assert_eq!(code, Some(1), "{flag} 0 exits 1, not a panic: {stderr}");
-        assert!(stderr.contains(message), "{flag}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    let hits = dir.join("hits.tsv");
+    let search = ["--guides", guides.to_str().unwrap(), "-o", hits.to_str().unwrap()];
+    // A serve flag is rejected before the daemon binds, so the command
+    // exits instead of running a clamped pool.
+    let serve = ["--addr", "127.0.0.1:0"];
+    for (command, flag, message) in [
+        ("search", "--threads", "--threads 0: "),
+        ("search", "--shard", "--shard 0: "),
+        ("serve", "--workers", "--workers 0: "),
+        ("serve", "--scan-threads", "--scan-threads 0: "),
+    ] {
+        let mut args = vec!["--genome", genome.to_str().unwrap(), flag, "0"];
+        args.extend(if command == "search" { &search[..] } else { &serve[..] });
+        let (code, stderr) = run_cli(command, &args);
+        assert_eq!(code, Some(1), "{command} {flag} 0 exits 1, not a panic: {stderr}");
+        assert!(stderr.contains(message), "{command} {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command} {flag}: {stderr}");
     }
 
     fs::remove_dir_all(&dir).ok();

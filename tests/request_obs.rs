@@ -343,6 +343,9 @@ fn access_log_writes_one_schema_valid_line_per_admitted_request() {
             "guides",
             "queue_wait_s",
             "scan_s",
+            "load_s",
+            "compile_s",
+            "kernel_s",
             "total_s",
             "bytes_in",
             "bytes_out",
@@ -378,6 +381,9 @@ fn access_log_writes_one_schema_valid_line_per_admitted_request() {
     assert_ne!(record.get("guides_hash").and_then(Value::as_str), Some("-"));
     assert_eq!(record.get("cache").and_then(Value::as_str), Some("miss"));
     assert!(record.get("scan_s").and_then(Value::as_f64).unwrap() > 0.0);
+    // A cache miss compiles; the layers it logs are the request's own.
+    assert!(record.get("compile_s").and_then(Value::as_f64).unwrap() > 0.0);
+    assert!(record.get("kernel_s").and_then(Value::as_f64).unwrap() > 0.0);
     assert!(record.get("bytes_out").and_then(Value::as_f64).unwrap() > 0.0);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -372,6 +372,20 @@ fn malformed_requests_get_4xx_not_a_crash() {
     server.join();
 }
 
+/// A pool without workers, or a scan without threads, is refused at
+/// start instead of being clamped to one.
+#[test]
+fn zero_workers_or_scan_threads_are_refused() {
+    let (genome, _) = workload();
+    for cfg in [
+        ServeConfig { workers: 0, ..ServeConfig::default() },
+        ServeConfig { scan_threads: 0, ..ServeConfig::default() },
+    ] {
+        let err = Server::start(genome.clone(), cfg).err().expect("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+}
+
 #[test]
 fn healthz_reports_and_shutdown_drains() {
     let (server, addr) = start(ServeConfig::default());
@@ -398,38 +412,45 @@ fn healthz_reports_and_shutdown_drains() {
 }
 
 /// `serve --index` scans the index in place; its answers must be the
-/// FASTA daemon's, byte for byte, whatever the scan width or budget.
+/// FASTA daemon's, byte for byte, whatever the scan width or budget, for
+/// a mapped index and for one built in memory (never written) alike.
+/// Three scan threads split each contig at a length that is not a
+/// multiple of 64, which index chunks round up to a word boundary.
 #[test]
 fn indexed_daemon_answers_byte_identically_to_the_genome_daemon() {
     let (genome, guides) = workload();
     let path =
         std::env::temp_dir().join(format!("offtarget-serve-index-{}.idx", std::process::id()));
-    GenomeIndex::build(&genome, 8).expect("build index").write_to(&path).expect("write index");
-    let index = Arc::new(GenomeIndex::open(&path).expect("open index"));
+    let built = Arc::new(GenomeIndex::build(&genome, 8).expect("build index"));
+    built.write_to(&path).expect("write index");
+    let mapped = Arc::new(GenomeIndex::open(&path).expect("open index"));
     let body = guides_body(&guides);
-    for scan_threads in [1, 2] {
+    for scan_threads in [1, 2, 3] {
         let cfg = ServeConfig { scan_threads, ..ServeConfig::default() };
         let direct = Server::start(genome.clone(), cfg.clone()).expect("start genome daemon");
-        let indexed =
-            Server::start_indexed(Arc::clone(&index), 0.0, cfg).expect("start index daemon");
-        for k in 0..=3 {
-            let target = format!("/search?k={k}&format=tsv");
-            let (status, headers, want) = request(direct.local_addr(), "POST", &target, &body);
-            assert_eq!(status, 200);
-            assert!(!headers.contains_key("x-offtarget-index"));
-            let (status, headers, got) = request(indexed.local_addr(), "POST", &target, &body);
-            assert_eq!(status, 200);
-            assert!(headers.get("x-offtarget-index").is_some_and(|v| v == "mmap" || v == "read"));
-            assert_eq!(
-                String::from_utf8_lossy(&got),
-                String::from_utf8_lossy(&want),
-                "scan_threads={scan_threads} k={k}"
-            );
+        for index in [&mapped, &built] {
+            let indexed = Server::start_indexed(Arc::clone(index), 0.0, cfg.clone())
+                .expect("start index daemon");
+            let mode = if index.mapped() { "mmap" } else { "read" };
+            for k in 0..=3 {
+                let target = format!("/search?k={k}&format=tsv");
+                let (status, headers, want) = request(direct.local_addr(), "POST", &target, &body);
+                assert_eq!(status, 200);
+                assert!(!headers.contains_key("x-offtarget-index"));
+                let (status, headers, got) = request(indexed.local_addr(), "POST", &target, &body);
+                assert_eq!(status, 200);
+                assert!(headers.get("x-offtarget-index").is_some_and(|v| v == mode));
+                assert_eq!(
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(&want),
+                    "scan_threads={scan_threads} k={k} index={mode}"
+                );
+            }
+            indexed.shutdown();
+            indexed.join();
         }
-        for server in [direct, indexed] {
-            server.shutdown();
-            server.join();
-        }
+        direct.shutdown();
+        direct.join();
     }
     std::fs::remove_file(&path).ok();
 }
